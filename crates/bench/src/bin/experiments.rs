@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--jobs N] [--trace-cache] [--trace-cache-dir DIR]
+//! experiments [--quick] [--jobs N] [--trace-cache]
 //!             [--checkpoint FILE [--resume]] [--json DIR] [ARTIFACT...]
 //!
 //! ARTIFACT: table1 table2 fig1 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12
@@ -14,13 +14,6 @@
 //! warm cache — so stdout and the JSON in `--json DIR` are byte-identical
 //! to a serial run.
 //!
-//! `--trace-cache-dir DIR` persists the shared recordings to a POMTRC2
-//! store at DIR (implies `--trace-cache`): the first invocation records
-//! every distinct input stream, a second invocation over the same matrix
-//! replays all of them from disk and runs zero generator passes. Damaged
-//! or stale store files fall back to live generation — output never
-//! changes, only speed.
-//!
 //! `--checkpoint FILE` journals every completed simulation to FILE as it
 //! lands; `--resume` preloads the matrix from that journal, so a sweep
 //! killed mid-run restarts where it stopped. Simulations are
@@ -32,14 +25,12 @@ use std::process::ExitCode;
 
 use pomtlb_bench::figures::{self, Figure};
 use pomtlb_bench::matrix::{ExpConfig, Matrix};
-use pomtlb_trace::TraceStore;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut jobs = 1usize;
     let mut trace_cache = false;
-    let mut trace_cache_dir: Option<String> = None;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
     let mut json_dir: Option<String> = None;
@@ -49,13 +40,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--quick" => quick = true,
             "--trace-cache" => trace_cache = true,
-            "--trace-cache-dir" => match it.next() {
-                Some(dir) => trace_cache_dir = Some(dir),
-                None => {
-                    eprintln!("--trace-cache-dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--checkpoint" => match it.next() {
                 Some(file) => checkpoint = Some(file),
                 None => {
@@ -104,18 +88,6 @@ fn main() -> ExitCode {
     let cfg = if quick { ExpConfig::quick() } else { ExpConfig::standard() };
     let mut matrix = Matrix::new(cfg);
     matrix.set_trace_cache(trace_cache);
-    if let Some(dir) = &trace_cache_dir {
-        match TraceStore::open(dir) {
-            Ok(store) => {
-                trace_cache = true;
-                matrix.set_trace_store(Some(store));
-            }
-            Err(e) => {
-                eprintln!("cannot open trace store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     if resume && checkpoint.is_none() {
         eprintln!("--resume needs --checkpoint FILE");
         return ExitCode::FAILURE;
@@ -210,10 +182,8 @@ const ALL_ARTIFACTS: &[&str] = &[
 fn print_help() {
     eprintln!(
         "usage: experiments [--quick] [--jobs N|auto] [--trace-cache] \
-         [--trace-cache-dir DIR] [--checkpoint FILE [--resume]] [--json DIR] [ARTIFACT...]"
+         [--checkpoint FILE [--resume]] [--json DIR] [ARTIFACT...]"
     );
-    eprintln!("  --trace-cache-dir DIR  persist shared recordings to a POMTRC2 store");
-    eprintln!("                         (implies --trace-cache; warm runs skip generation)");
     eprintln!("  --checkpoint FILE      journal each completed simulation to FILE");
     eprintln!("  --resume               preload the matrix from FILE before running");
     eprintln!("artifacts: {}", ALL_ARTIFACTS.join(" "));

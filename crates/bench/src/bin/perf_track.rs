@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N]
-//!            [--laps N] [--baseline-serial-ms X] [--trace-store DIR]
-//!            [--chunk-refs N]
+//!            [--laps N] [--baseline-serial-ms X]
 //! ```
 //!
 //! `--baseline-serial-ms X` records a prior commit's serial wall time for
@@ -28,17 +27,6 @@
 //! cross-checks that all runs produced identical reports (the runner's and
 //! trace cache's determinism contracts) and fails loudly if they did not.
 //!
-//! On top of those three, two persistent-store passes exercise the POMTRC2
-//! disk path: a *record* pass through a cold (or CI-restored) store, then a
-//! *replay* pass through a **fresh** handle over the same directory — the
-//! cross-invocation boundary. The replay pass must serve every stream from
-//! disk (zero generator passes) or the harness fails; both passes join the
-//! determinism cross-check. `--trace-store DIR` points the store at a
-//! persistent directory (CI caches it across commits); without the flag an
-//! ephemeral pid-suffixed temp directory is used and removed on exit. The
-//! store numbers land in a NEW top-level `"trace_store"` object — every
-//! pre-existing field of `BENCH_perf.json` keeps its name and meaning.
-//!
 //! A memoization pass exercises the serve subsystem's report store: one
 //! compare-shaped request is answered cold through a `Service` (computing
 //! and memoizing), then again through a *fresh* service over the same
@@ -52,18 +40,9 @@
 //! / panicked, summed over every pooled lap). On a healthy build every
 //! outcome is `ok`; a panicked job fails the run outright.
 //!
-//! Two chunked passes exercise the chunk-granular work-stealing scheduler:
-//! the same matrix split into `--chunk-refs`-sized chunks (default 2048)
-//! scheduled across Chase–Lev deques, once generating streams live and
-//! once replaying them from the persistent store through a fresh handle.
-//! Both join the determinism cross-check — chunk boundaries and steal
-//! order must not move a byte of any report — and their walls land in a
-//! NEW top-level `"chunked"` object; every pre-existing field keeps its
-//! name and meaning.
-//!
 //! A consolidation pass runs the multi-tenant QoS workload at the
-//! smallest ladder rung (100 VMs, default churn) serially and
-//! chunk-scheduled, hard-failing on any report divergence or an empty
+//! smallest ladder rung (100 VMs, default churn) serially and pooled
+//! over a shared recorded stream, hard-failing on any report divergence or an empty
 //! per-tenant accounting section; its walls and QoS digest land in a NEW
 //! top-level `"consolidation"` object — every pre-existing field keeps
 //! its name and meaning.
@@ -100,12 +79,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use pom_tlb::{
-    default_jobs, run_jobs, run_jobs_chunked, run_jobs_with, share_traces,
-    share_traces_with_store, simulations_run, JobResult, RunPolicy, Scheme, ShareOutcome,
-    SimConfig, SimJob,
+    default_jobs, run_jobs, run_jobs_with, share_traces, simulations_run, JobResult,
+    RunPolicy, Scheme, SimConfig, SimJob,
 };
 use pomtlb_serve::{ServeConfig, Service};
-use pomtlb_trace::TraceStore;
 use pomtlb_workloads::by_name;
 use pomtlb_workloads::consolidation::{
     consolidation_spec, DEFAULT_CHURN_DESTROYS, DEFAULT_CHURN_FORKS,
@@ -311,8 +288,6 @@ fn main() -> ExitCode {
     let mut warmup = 4_000u64;
     let mut laps = 3u32;
     let mut baseline_serial_ms: Option<f64> = None;
-    let mut trace_store_dir: Option<String> = None;
-    let mut chunk_refs_n = 2_048u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -341,19 +316,13 @@ fn main() -> ExitCode {
                     .map(|x| baseline_serial_ms = Some(x))
                     .map_err(|_| format!("bad --baseline-serial-ms `{v}`"))
             }),
-            "--trace-store" => {
-                value("--trace-store").map(|v| trace_store_dir = Some(v.clone()))
-            }
-            "--chunk-refs" => value("--chunk-refs").and_then(|v| {
-                v.parse().map(|n| chunk_refs_n = n).map_err(|_| format!("bad --chunk-refs `{v}`"))
-            }),
             other => Err(format!("unknown flag `{other}`")),
         };
         if let Err(e) = r {
             eprintln!("{e}");
             eprintln!(
                 "usage: perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N] \
-                 [--laps N] [--baseline-serial-ms X] [--trace-store DIR] [--chunk-refs N]"
+                 [--laps N] [--baseline-serial-ms X]"
             );
             return ExitCode::FAILURE;
         }
@@ -405,76 +374,12 @@ fn main() -> ExitCode {
     let outcome = |s: &str| job_outcomes.get(s).copied().unwrap_or(0);
     let panicked_jobs = outcome("panicked");
 
-    // Chunk-granular pass: the same matrix split into fixed-size chunks and
-    // scheduled across the pool's Chase–Lev deques. Smaller units mean
-    // stealing balances the load wherever job walls are uneven, and the
-    // cumulative-carry chunk chain must reproduce serial bytes exactly.
-    let (chunked_wall, chunked) =
-        best_of(laps, || run_jobs_chunked(batch(refs, warmup), jobs_n, chunk_refs_n));
-
-    // Persistent-store passes. The record pass runs once (its wall time
-    // includes recording overhead, which only happens once per store
-    // lifetime); the replay pass is best-of-laps like the others, through a
-    // *fresh* handle over the same directory so every byte crosses the
-    // process-invocation boundary via the files.
-    let ephemeral = trace_store_dir.is_none();
-    let store_dir = trace_store_dir.unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join(format!("pomtlb-perf-store-{}", std::process::id()))
-            .to_string_lossy()
-            .into_owned()
-    });
-    let store = match TraceStore::open(&store_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open trace store {store_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let record_start = Instant::now();
-    let mut record_jobs = batch(refs, warmup);
-    let record = share_traces_with_store(&mut record_jobs, Some(&store));
-    let recorded_results = run_jobs(record_jobs, 1);
-    let record_wall = record_start.elapsed();
-    drop(store);
-
-    let store = match TraceStore::open(&store_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot reopen trace store {store_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut replay = ShareOutcome::default();
-    let (replay_wall, replayed_results) = best_of(laps, || {
-        let mut jobs = batch(refs, warmup);
-        replay = share_traces_with_store(&mut jobs, Some(&store));
-        run_jobs(jobs, 1)
-    });
-    // Chunked replay through the same on-disk store: replayable streams are
-    // exactly the ones that can snapshot mid-stream, so this pass is the
-    // scheduler's production configuration (chunks + pre-chunk checkpoints
-    // available) crossing the invocation boundary via the files.
-    let mut chunked_replay = ShareOutcome::default();
-    let (chunked_replay_wall, chunked_replayed) = best_of(laps, || {
-        let mut jobs = batch(refs, warmup);
-        chunked_replay = share_traces_with_store(&mut jobs, Some(&store));
-        run_jobs_chunked(jobs, jobs_n, chunk_refs_n)
-    });
-    drop(store);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-    let replay_all_hits = replay.store_misses == 0 && replay.store_hits == replay.attached;
-    let chunked_replay_all_hits =
-        chunked_replay.store_misses == 0 && chunked_replay.store_hits == chunked_replay.attached;
-
     // Consolidation pass: the multi-tenant QoS workload at the smallest
     // ladder rung — 100 VMs with default lifecycle churn — run serially
-    // and chunk-scheduled over a shared recorded stream. Tracks the cost
-    // of tenant attribution and churn handling commit over commit, and
-    // hard-fails if the chunked schedule moves a byte of any report or
-    // the QoS section comes back empty.
+    // and pooled over a shared recorded stream. Tracks the cost of tenant
+    // attribution and churn handling commit over commit, and hard-fails if
+    // the pooled replay moves a byte of any report or the QoS section comes
+    // back empty.
     const CONS_VMS: u32 = 100;
     let cons_batch = || -> Vec<SimJob> {
         let sim = SimConfig { refs_per_core: refs, warmup_per_core: warmup, seed: 0x90af };
@@ -489,12 +394,10 @@ fn main() -> ExitCode {
             .collect()
     };
     let (cons_wall, cons_serial) = best_of(laps, || run_jobs(cons_batch(), 1));
-    let (cons_chunked_wall, cons_chunked) = best_of(laps, || {
-        let mut jobs = cons_batch();
-        share_traces(&mut jobs);
-        run_jobs_chunked(jobs, jobs_n, chunk_refs_n)
-    });
-    let cons_deterministic = same_reports(&cons_serial, &cons_chunked);
+    let mut cons_jobs = cons_batch();
+    share_traces(&mut cons_jobs);
+    let cons_replayed = run_jobs(cons_jobs, jobs_n);
+    let cons_deterministic = same_reports(&cons_serial, &cons_replayed);
     let cons_tenancy = cons_serial
         .iter()
         .find(|r| r.label.ends_with("/pom_tlb"))
@@ -806,12 +709,7 @@ fn main() -> ExitCode {
             None => true,
         };
 
-    let deterministic = same_reports(&serial, &parallel)
-        && same_reports(&serial, &cached)
-        && same_reports(&serial, &recorded_results)
-        && same_reports(&serial, &replayed_results)
-        && same_reports(&serial, &chunked)
-        && same_reports(&serial, &chunked_replayed);
+    let deterministic = same_reports(&serial, &parallel) && same_reports(&serial, &cached);
 
     let total_refs: u64 = serial.iter().map(|r| r.report.refs).sum();
     let serial_secs = serial_wall.as_secs_f64();
@@ -893,62 +791,10 @@ fn main() -> ExitCode {
         jnum(if cache_secs > 0.0 { serial_secs / cache_secs } else { 0.0 })
     );
     j.push_str("  },\n");
-    let replay_secs = replay_wall.as_secs_f64();
-    j.push_str("  \"trace_store\": {\n");
-    let _ = writeln!(
-        j,
-        "    \"record\": {{\"store_hits\": {}, \"store_misses\": {}, \"recorded\": {}}},",
-        record.store_hits, record.store_misses, record.recorded
-    );
-    let _ = writeln!(
-        j,
-        "    \"replay\": {{\"store_hits\": {}, \"store_misses\": {}, \"recorded\": {}}},",
-        replay.store_hits, replay.store_misses, replay.recorded
-    );
-    let _ = writeln!(j, "    \"bytes_mapped\": {},", replay.bytes_mapped);
-    let _ = writeln!(j, "    \"record_wall_ms\": {},", jnum(record_wall.as_secs_f64() * 1e3));
-    let _ = writeln!(j, "    \"replay_wall_ms\": {},", jnum(replay_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"replay_speedup_vs_serial\": {},",
-        jnum(if replay_secs > 0.0 { serial_secs / replay_secs } else { 0.0 })
-    );
-    let _ = writeln!(j, "    \"replay_all_hits\": {replay_all_hits}");
-    j.push_str("  },\n");
-    let chunked_secs = chunked_wall.as_secs_f64();
-    let chunked_replay_secs = chunked_replay_wall.as_secs_f64();
-    j.push_str("  \"chunked\": {\n");
-    let _ = writeln!(j, "    \"chunk_refs\": {chunk_refs_n},");
-    let _ = writeln!(j, "    \"pooled_wall_ms\": {},", jnum(chunked_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"speedup_vs_serial\": {},",
-        jnum(if chunked_secs > 0.0 { serial_secs / chunked_secs } else { 0.0 })
-    );
-    let _ = writeln!(
-        j,
-        "    \"speedup_vs_whole_job_pool\": {},",
-        jnum(if chunked_secs > 0.0 { parallel_secs / chunked_secs } else { 0.0 })
-    );
-    let _ = writeln!(j, "    \"replay_wall_ms\": {},", jnum(chunked_replay_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"replay_speedup_vs_serial\": {},",
-        jnum(if chunked_replay_secs > 0.0 { serial_secs / chunked_replay_secs } else { 0.0 })
-    );
-    let _ = writeln!(j, "    \"replay_all_hits\": {chunked_replay_all_hits}");
-    j.push_str("  },\n");
     let cons_secs = cons_wall.as_secs_f64();
-    let cons_chunked_secs = cons_chunked_wall.as_secs_f64();
     j.push_str("  \"consolidation\": {\n");
     let _ = writeln!(j, "    \"vms\": {CONS_VMS},");
     let _ = writeln!(j, "    \"serial_wall_ms\": {},", jnum(cons_secs * 1e3));
-    let _ = writeln!(j, "    \"chunked_wall_ms\": {},", jnum(cons_chunked_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"chunked_speedup_vs_serial\": {},",
-        jnum(if cons_chunked_secs > 0.0 { cons_secs / cons_chunked_secs } else { 0.0 })
-    );
     let _ = writeln!(j, "    \"measured_tenants\": {},", cons_tenancy.measured_tenants);
     let _ = writeln!(j, "    \"dispersion\": {},", jnum(cons_tenancy.dispersion));
     let _ = writeln!(j, "    \"worst_p99\": {},", cons_tenancy.worst_p99);
@@ -1034,8 +880,7 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "perf_track: serial {:.0} ms, trace-cache {:.0} ms, pooled {:.0} ms on {} workers \
-         -> {:.2}x pool / {:.2}x cache; chunked ({} refs/chunk) {:.0} ms -> {:.2}x; store \
-         replay {:.0} ms ({} hit(s), {} byte(s) mapped); serve cold {cold_ms:.0} ms vs \
+         -> {:.2}x pool / {:.2}x cache; serve cold {cold_ms:.0} ms vs \
          memoized {memoized_ms:.0} ms; {CONC_CLIENTS} concurrent clients {conc_ms:.0} ms vs \
          sequential {seq_ms:.0} ms -> {throughput_x:.2}x; tcp {tcp_ms:.0} ms vs unix \
          {unix_ms:.0} ms -> {tcp_vs_unix_x:.2}x; wrote {}",
@@ -1045,12 +890,6 @@ fn main() -> ExitCode {
         jobs_n,
         if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 },
         if cache_secs > 0.0 { serial_secs / cache_secs } else { 0.0 },
-        chunk_refs_n,
-        chunked_secs * 1e3,
-        if chunked_secs > 0.0 { serial_secs / chunked_secs } else { 0.0 },
-        replay_secs * 1e3,
-        replay.store_hits,
-        replay.bytes_mapped,
         out
     );
     if panicked_jobs > 0 {
@@ -1063,16 +902,7 @@ fn main() -> ExitCode {
     }
     if !deterministic {
         eprintln!(
-            "perf_track: FAIL — pooled, trace-cached, store-replayed or chunked reports \
-             differ from serial reports"
-        );
-        return ExitCode::FAILURE;
-    }
-    if !replay_all_hits || !chunked_replay_all_hits {
-        eprintln!(
-            "perf_track: FAIL — a store replay pass missed (whole-job {}/{} hit(s), chunked \
-             {}/{} hit(s)); a just-recorded store must serve every stream from disk",
-            replay.store_hits, replay.attached, chunked_replay.store_hits, chunked_replay.attached
+            "perf_track: FAIL — pooled or trace-cached reports differ from serial reports"
         );
         return ExitCode::FAILURE;
     }

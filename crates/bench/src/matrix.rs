@@ -8,11 +8,10 @@ use std::sync::Mutex;
 
 use pom_tlb::perf_model::improvement_pct;
 use pom_tlb::{
-    run_jobs_with, share_traces_with_store, JobOutcome, RunPolicy, Scheme, SimConfig, SimJob,
+    run_jobs_with, share_traces, JobOutcome, RunPolicy, Scheme, SimConfig, SimJob,
     SimReport, SystemConfig,
 };
 use pomtlb_tlb::WalkMode;
-use pomtlb_trace::TraceStore;
 use pomtlb_workloads::PaperWorkload;
 use serde::{Deserialize, Serialize};
 
@@ -154,9 +153,6 @@ pub struct Matrix {
     /// When on, `execute_plan` records each distinct input stream once and
     /// replays it to every scheme sharing it (see [`pom_tlb::share_traces`]).
     trace_cache: bool,
-    /// Persistent backing for the trace cache: recordings hit here replay
-    /// from disk across invocations (see [`pom_tlb::share_traces_with_store`]).
-    trace_store: Option<TraceStore>,
     /// Optional journal of completed cells; `--resume` preloads the cache
     /// from it, so a killed sweep restarts where it stopped.
     checkpoint: Option<Checkpoint>,
@@ -175,7 +171,6 @@ impl Matrix {
             planned: Vec::new(),
             planned_keys: HashSet::new(),
             trace_cache: false,
-            trace_store: None,
             checkpoint: None,
             verbose: true,
         }
@@ -249,24 +244,6 @@ impl Matrix {
         self.trace_cache = on;
     }
 
-    /// Backs the trace cache with a persistent store: planned batches
-    /// replay recordings from disk when present (map-on-hit) and persist
-    /// what they generate (record-on-miss), so a *second* invocation over
-    /// the same matrix runs zero generator passes. Implies
-    /// [`Matrix::set_trace_cache`]. Store defects degrade to live
-    /// generation; output never changes.
-    pub fn set_trace_store(&mut self, store: Option<TraceStore>) {
-        if store.is_some() {
-            self.trace_cache = true;
-        }
-        self.trace_store = store;
-    }
-
-    /// The persistent trace store, if one is attached.
-    pub fn trace_store(&self) -> Option<&TraceStore> {
-        self.trace_store.as_ref()
-    }
-
     /// Switches plan mode on or off. While planning, `report_with` records
     /// jobs instead of running them and hands back placeholder reports
     /// ([`SimReport::placeholder`] — every rate is 0, never a panic), so a
@@ -301,12 +278,9 @@ impl Matrix {
         let (keys, jobs): (Vec<_>, Vec<_>) = planned.into_iter().unzip();
         let mut jobs = jobs;
         if self.trace_cache {
-            let outcome = share_traces_with_store(&mut jobs, self.trace_store.as_ref());
+            let recorded = share_traces(&mut jobs);
             if self.verbose {
-                eprintln!(
-                    "  [plan] {} shared trace recording(s) ({} replayed from disk, {} recorded)",
-                    outcome.attached, outcome.store_hits, outcome.recorded
-                );
+                eprintln!("  [plan] {recorded} shared trace recording(s)");
             }
         }
         let checkpoint = self.checkpoint.as_ref();

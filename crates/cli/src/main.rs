@@ -10,9 +10,8 @@
 //! pomtlb shootdown-sweep --workload gups [--json]
 //! pomtlb fault-sweep --workload gups [--fault-seed N] [--assert-detection]
 //!                    [--json]
-//! pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]
 //! pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]
-//! pomtlb serve [--socket PATH | --tcp HOST:PORT] [--trace-cache-dir DIR]
+//! pomtlb serve [--socket PATH | --tcp HOST:PORT]
 //!              [--report-dir DIR] [--report-max-mb N] [--jobs N]
 //!              [--max-connections N] [--max-inflight N|auto] [--max-queue N]
 //!              [--hot-cache-mb N] [--idle-timeout-secs N]
@@ -24,13 +23,6 @@
 //!                    [--torn-per-10k N] [--stall-per-10k N] [--stall-ms N]
 //!                    [--delay-ms N]
 //! ```
-//!
-//! Batched commands (`compare`, `shootdown-sweep`, `fault-sweep`) accept
-//! `--trace-cache-dir DIR`: shared recordings persist to a POMTRC2 store at
-//! DIR and later invocations replay them from disk instead of regenerating.
-//! `trace-store` inspects such a store: `stats` lists its recordings,
-//! `verify` integrity-checks every file (exit code 1 if any fails), `gc`
-//! evicts least-recently-used recordings down to `--max-mb`.
 //!
 //! `fault-sweep` runs every scheme with seeded fault injection (POM-TLB
 //! DRAM bit flips, cached-copy flips, dropped shootdown IPIs, stale
@@ -50,8 +42,7 @@
 //! on typed `busy`/`deadline_exceeded` refusals, a byte-identity
 //! assertion on retries), and `chaos-proxy` is the deterministic
 //! fault-injection proxy the chaos suite and CI smoke job run them
-//! through. The trace store stays warm across
-//! requests, and finished response bodies are answered from three cache
+//! through. Finished response bodies are answered from three cache
 //! tiers, each byte-identical to the computed body: an in-memory hot
 //! cache (`"hot"`, sized by `--hot-cache-mb`), the content-addressed
 //! report store at `--report-dir` (`"memoized"`), and single-flight
@@ -59,18 +50,18 @@
 //! Admission control bounds concurrent computes to `--max-inflight` with
 //! a `--max-queue` backlog; overload gets a typed busy line. The daemon
 //! persists its tier counters into the report dir, and `report-store
-//! stats` (same three actions as `trace-store`) prints them back.
+//! stats` prints them back (`verify` integrity-checks every entry, `gc`
+//! evicts least-recently-used entries down to `--max-mb`).
 
 use std::process::ExitCode;
 
 use pom_tlb::{
-    consolidation_ladder, run_jobs, run_jobs_chunked, share_traces, share_traces_with_store,
-    FaultConfig, FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport,
-    SystemConfig,
+    consolidation_ladder, run_jobs, run_jobs_with, share_traces, FaultConfig, FaultStats,
+    PomTlbConfig, RunPolicy, Scheme, ShootdownStats, SimConfig, SimJob, SimReport, SystemConfig,
 };
 use pomtlb_serve::{ReportStore, ServeConfig, Service};
 use pomtlb_tlb::WalkMode;
-use pomtlb_trace::{OsEventRates, TraceStore};
+use pomtlb_trace::OsEventRates;
 use pomtlb_workloads::consolidation::{consolidation_spec, resolve_mix};
 use pomtlb_workloads::{by_name, names, PaperWorkload};
 
@@ -86,7 +77,6 @@ fn main() -> ExitCode {
         Some("shootdown-sweep") => run_sweep(&args[1..]),
         Some("consolidation-sweep") => run_consolidation_sweep(&args[1..]),
         Some("fault-sweep") => run_fault_sweep(&args[1..]),
-        Some("trace-store") => run_trace_store(&args[1..]),
         Some("report-store") => run_report_store(&args[1..]),
         Some("serve") => run_serve(&args[1..]),
         Some("client") => run_client(&args[1..]),
@@ -123,9 +113,7 @@ struct Options {
     check_consistency: bool,
     json: bool,
     jobs: usize,
-    chunk_refs: u64,
     trace_cache: bool,
-    trace_cache_dir: Option<String>,
     fault_seed: u64,
     assert_detection: bool,
     vms: u32,
@@ -151,9 +139,7 @@ impl Default for Options {
             check_consistency: false,
             json: false,
             jobs: 1,
-            chunk_refs: 0,
             trace_cache: false,
-            trace_cache_dir: None,
             fault_seed: 0x5eed,
             assert_detection: false,
             vms: 0,
@@ -207,10 +193,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--assert-detection" => o.assert_detection = true,
             "--json" => o.json = true,
             "--trace-cache" => o.trace_cache = true,
-            "--trace-cache-dir" => {
-                o.trace_cache_dir = Some(value("--trace-cache-dir")?);
-                o.trace_cache = true;
-            }
             "--jobs" | "-j" => {
                 let v = value("--jobs")?;
                 o.jobs = if v == "auto" {
@@ -219,7 +201,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     num(&v)? as usize
                 };
             }
-            "--chunk-refs" => o.chunk_refs = num(&value("--chunk-refs")?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -278,16 +259,9 @@ fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
                     .map(|s| job_for(&w, s, &opts))
                     .collect();
             if opts.trace_cache {
-                let store = match open_store(&opts.trace_cache_dir) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                share_traces_with_store(&mut jobs, store.as_ref());
+                share_traces(&mut jobs);
             }
-            let reports: Vec<SimReport> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+            let reports: Vec<SimReport> = run_jobs(jobs, opts.jobs)
                 .into_iter()
                 .map(|r| r.report)
                 .collect();
@@ -295,17 +269,6 @@ fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Opens the persistent trace store when `--trace-cache-dir` was given;
-/// `Ok(None)` means plain in-memory sharing.
-fn open_store(dir: &Option<String>) -> Result<Option<TraceStore>, String> {
-    match dir {
-        Some(d) => TraceStore::open(d)
-            .map(Some)
-            .map_err(|e| format!("cannot open trace store {d}: {e}")),
-        None => Ok(None),
-    }
 }
 
 /// Builds the fully-specified job `simulate` would run, so batched commands
@@ -378,16 +341,9 @@ fn run_sweep(args: &[String]) -> ExitCode {
     if opts.trace_cache {
         // One recording per unmap rate (the event mix changes the stream);
         // the four schemes at each rate share it.
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
+        share_traces(&mut jobs);
     }
-    let rows: Vec<SweepRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<SweepRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(rates)
         .map(|(res, rate)| {
@@ -505,30 +461,30 @@ fn consolidation_jobs(rungs: &[u32], churn: Option<(f64, f64)>, o: &Options) -> 
 }
 
 /// `--assert-determinism`: the same batch must fingerprint byte-identically
-/// when run serially, on a worker pool, and chunk-scheduled over a shared
-/// recorded trace. Returns false (after naming the divergent job) if any
-/// scheduler disagrees with the serial reference.
+/// when run serially, on a worker pool, and on a worker pool replaying a
+/// shared recorded trace. Returns false (after naming the divergent job) if
+/// any run disagrees with the serial reference.
 fn consolidation_is_deterministic(
     rungs: &[u32],
     churn: Option<(f64, f64)>,
     opts: &Options,
 ) -> bool {
     let pool = opts.jobs.max(2);
-    let chunk = if opts.chunk_refs > 0 { opts.chunk_refs } else { (opts.refs / 4).max(1) };
     let serial = run_jobs(consolidation_jobs(rungs, churn, opts).0, 1);
     let pooled = run_jobs(consolidation_jobs(rungs, churn, opts).0, pool);
-    let mut chunked_jobs = consolidation_jobs(rungs, churn, opts).0;
-    share_traces(&mut chunked_jobs);
-    let chunked = run_jobs_chunked(chunked_jobs, pool, chunk);
+    let mut replay_jobs = consolidation_jobs(rungs, churn, opts).0;
+    share_traces(&mut replay_jobs);
+    let replayed = run_jobs_with(replay_jobs, pool, RunPolicy::strict(), &|_, _| {});
     let mut ok = true;
-    for ((a, b), c) in serial.iter().zip(&pooled).zip(&chunked) {
+    for ((a, b), c) in serial.iter().zip(&pooled).zip(&replayed) {
         let reference = serde_json::to_string(&a.report).unwrap_or_default();
         if serde_json::to_string(&b.report).unwrap_or_default() != reference {
             eprintln!("consolidation-sweep: {}: serial vs pooled reports diverged", a.label);
             ok = false;
         }
-        if serde_json::to_string(&c.report).unwrap_or_default() != reference {
-            eprintln!("consolidation-sweep: {}: serial vs chunked-replay reports diverged", a.label);
+        let replay = c.result().map(|r| serde_json::to_string(&r.report).unwrap_or_default());
+        if replay.as_ref() != Some(&reference) {
+            eprintln!("consolidation-sweep: {}: serial vs pooled-replay reports diverged", a.label);
             ok = false;
         }
     }
@@ -563,16 +519,9 @@ fn run_consolidation_sweep(args: &[String]) -> ExitCode {
 
     let (mut jobs, vms_of) = consolidation_jobs(&rungs, churn, &opts);
     if opts.trace_cache {
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
+        share_traces(&mut jobs);
     }
-    let rows: Vec<ConsolidationRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<ConsolidationRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(vms_of)
         .map(|(res, vms)| ConsolidationRow::from_report(vms, &res.report))
@@ -722,16 +671,9 @@ fn run_fault_sweep(args: &[String]) -> ExitCode {
     if opts.trace_cache {
         // All rows consume one recording: the fault plan perturbs served
         // translations, never the input stream.
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
+        share_traces(&mut jobs);
     }
-    let rows: Vec<FaultRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<FaultRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(detect)
         .map(|(res, consistency)| {
@@ -794,126 +736,9 @@ fn run_fault_sweep(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
-/// integrity-check, or trim a persistent POMTRC2 recording store.
-fn run_trace_store(args: &[String]) -> ExitCode {
-    let mut action: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut max_mb: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "stats" | "verify" | "gc" if action.is_none() => action = Some(a.clone()),
-            "--dir" => match it.next() {
-                Some(v) => dir = Some(v.clone()),
-                None => {
-                    eprintln!("--dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-mb" => match it.next().map(|v| num(v)) {
-                Some(Ok(n)) => max_mb = Some(n),
-                _ => {
-                    eprintln!("--max-mb needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown trace-store argument `{other}`");
-                eprintln!("usage: pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(action) = action else {
-        eprintln!("trace-store needs an action: stats | verify | gc");
-        return ExitCode::FAILURE;
-    };
-    let Some(dir) = dir else {
-        eprintln!("trace-store needs --dir DIR");
-        return ExitCode::FAILURE;
-    };
-    let store = match TraceStore::open(&dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open trace store {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let store = match max_mb {
-        Some(mb) => store.with_max_bytes(mb.saturating_mul(1 << 20)),
-        None => store,
-    };
-
-    match action.as_str() {
-        "stats" => {
-            let entries = store.entries();
-            println!(
-                "trace store {}: {} recording(s), {} bytes (cap {} bytes)",
-                store.root().display(),
-                entries.len(),
-                store.total_bytes(),
-                store.max_bytes(),
-            );
-            if !entries.is_empty() {
-                println!(
-                    "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
-                    "digest", "workload", "seed", "cores", "refs", "bytes", "last_used"
-                );
-                for e in &entries {
-                    println!(
-                        "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
-                        &e.digest[..e.digest.len().min(16)],
-                        e.workload,
-                        e.seed,
-                        e.n_cores,
-                        e.refs,
-                        e.bytes,
-                        e.last_used,
-                    );
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "verify" => {
-            let entries = store.verify();
-            let mut bad = 0usize;
-            for e in &entries {
-                match &e.error {
-                    None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
-                    Some(err) => {
-                        bad += 1;
-                        println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
-                    }
-                }
-            }
-            println!("{} recording(s), {} defective", entries.len(), bad);
-            if bad > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "gc" => {
-            let report = store.gc();
-            for (digest, bytes) in &report.evicted {
-                println!("evicted {digest} ({bytes} bytes)");
-            }
-            println!(
-                "{} recording(s) evicted, {} bytes live (cap {} bytes)",
-                report.evicted.len(),
-                report.live_bytes,
-                store.max_bytes(),
-            );
-            ExitCode::SUCCESS
-        }
-        _ => unreachable!("actions are validated above"),
-    }
-}
-
 /// `pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
 /// integrity-check, or trim a store of memoized serve response bodies
-/// (POMREP1 files), mirroring `trace-store`'s actions.
+/// (POMREP1 files).
 fn run_report_store(args: &[String]) -> ExitCode {
     let mut action: Option<String> = None;
     let mut dir: Option<String> = None;
@@ -1086,9 +911,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
             }
             "--socket" => out.socket = Some(value("--socket")?),
             "--tcp" => out.tcp = Some(value("--tcp")?),
-            "--trace-cache-dir" => {
-                out.cfg.trace_dir = Some(value("--trace-cache-dir")?.into());
-            }
             "--report-dir" => out.cfg.report_dir = Some(value("--report-dir")?.into()),
             "--report-max-mb" => {
                 out.cfg.report_max_bytes =
@@ -1136,8 +958,8 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
 }
 
 /// `pomtlb serve` — the long-lived sweep service: JSON-lines requests on
-/// stdin (default) or a Unix socket, one warm trace store and memoized
-/// report cache across all of them. Runs until EOF or a `shutdown`
+/// stdin (default), a Unix socket or TCP, with one memoized report cache
+/// across all of them. Runs until EOF or a `shutdown`
 /// request.
 fn run_serve(args: &[String]) -> ExitCode {
     let parsed = match parse_serve(args) {
@@ -1456,13 +1278,11 @@ USAGE:
                                                    all four schemes, with the
                                                    consistency machinery on
                                                    and off (default: gups)
-  pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]
-                                                   inspect / integrity-check /
-                                                   trim a recording store
   pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]
-                                                   same, for a store of
-                                                   memoized serve responses
-  pomtlb serve [--socket PATH | --tcp HOST:PORT] [--trace-cache-dir DIR]
+                                                   inspect / integrity-check /
+                                                   trim a store of memoized
+                                                   serve responses
+  pomtlb serve [--socket PATH | --tcp HOST:PORT]
                [--report-dir DIR] [--report-max-mb N] [--jobs N]
                [--max-connections N] [--max-inflight N|auto] [--max-queue N]
                [--hot-cache-mb N] [--idle-timeout-secs N]
@@ -1562,7 +1382,8 @@ FLAGS:
                     population, no teardowns or fork storms
   --assert-determinism    consolidation-sweep exits nonzero unless the
                           batch fingerprints byte-identically when run
-                          serially, pooled and chunk-scheduled (for CI)
+                          serially, pooled, and pooled over shared-trace
+                          replay (for CI)
   --fault-seed N    RNG seed for fault-sweep's injection plan
                     (default 0x5eed)
   --assert-detection      fault-sweep exits nonzero unless consistency-on
@@ -1571,18 +1392,9 @@ FLAGS:
   --jobs N          worker threads for batched commands (compare,
                     shootdown-sweep); `auto` = all cores. Output is
                     byte-identical to --jobs 1 (default)
-  --chunk-refs N    split each batched job into N-reference chunks
-                    scheduled by work stealing across --jobs workers
-                    (0 = whole-job scheduling, default). Any chunk size
-                    produces byte-identical output; smaller chunks
-                    balance load better at more scheduling overhead
   --trace-cache     batched commands record each input stream once and
                     replay it to every scheme instead of regenerating it
                     per run. Output is byte-identical either way
-  --trace-cache-dir DIR   persist those recordings to a POMTRC2 store at
-                    DIR (implies --trace-cache); later invocations replay
-                    them from disk. Damaged files fall back to live
-                    generation — output never changes
   --json            machine-readable output"
     );
 }
@@ -1644,26 +1456,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_chunk_refs() {
-        assert_eq!(parse(&[]).unwrap().chunk_refs, 0);
-        let o = parse(&["--chunk-refs".into(), "5000".into()]).unwrap();
-        assert_eq!(o.chunk_refs, 5000);
-        assert!(parse(&["--chunk-refs".into()]).is_err());
-        assert!(parse(&["--chunk-refs".into(), "many".into()]).is_err());
-    }
-
-    #[test]
     fn parse_trace_cache() {
         assert!(!parse(&[]).unwrap().trace_cache);
         assert!(parse(&["--trace-cache".into()]).unwrap().trace_cache);
-    }
-
-    #[test]
-    fn parse_trace_cache_dir_implies_trace_cache() {
-        let o = parse(&["--trace-cache-dir".into(), "/tmp/store".into()]).unwrap();
-        assert!(o.trace_cache);
-        assert_eq!(o.trace_cache_dir.as_deref(), Some("/tmp/store"));
-        assert!(parse(&["--trace-cache-dir".into()]).is_err());
     }
 
     #[test]
@@ -1740,11 +1535,11 @@ mod tests {
     fn parse_serve_defaults_and_flags() {
         let p = parse_serve(&[]).unwrap();
         assert!(p.socket.is_none(), "stdin is the default transport");
-        assert!(p.cfg.trace_dir.is_none() && p.cfg.report_dir.is_none());
+        assert!(p.cfg.report_dir.is_none());
         assert_eq!(p.cfg.jobs, 0, "auto worker count");
 
         let args: Vec<String> = [
-            "--socket", "/tmp/pomtlb.sock", "--trace-cache-dir", "/tmp/traces",
+            "--socket", "/tmp/pomtlb.sock",
             "--report-dir", "/tmp/reports", "--report-max-mb", "4", "--jobs", "2",
             "--max-connections", "9", "--max-inflight", "3", "--max-queue", "7",
             "--hot-cache-mb", "8",
@@ -1754,7 +1549,6 @@ mod tests {
         .collect();
         let p = parse_serve(&args).unwrap();
         assert_eq!(p.socket.as_deref(), Some("/tmp/pomtlb.sock"));
-        assert_eq!(p.cfg.trace_dir.as_deref(), Some(std::path::Path::new("/tmp/traces")));
         assert_eq!(p.cfg.report_dir.as_deref(), Some(std::path::Path::new("/tmp/reports")));
         assert_eq!(p.cfg.report_max_bytes, 4 << 20);
         assert_eq!(p.cfg.jobs, 2);
@@ -1869,9 +1663,8 @@ mod tests {
         // applies some fault with near-certainty under the pinned seed.
         let o = Options { cores: 2, refs: 20_000, warmup: 5_000, ..Default::default() };
         let (jobs, detect) = fault_sweep_jobs(&w, &o);
-        // Run through the chunked scheduler: fault injection must behave
-        // identically whether a job runs whole or as stolen chunks.
-        let rows: Vec<FaultRow> = run_jobs_chunked(jobs, 2, 1_500)
+        // Run on the worker pool, as `fault-sweep --jobs 2` does.
+        let rows: Vec<FaultRow> = run_jobs(jobs, 2)
             .into_iter()
             .zip(detect)
             .map(|(res, consistency)| {

@@ -59,7 +59,6 @@
 pub mod admission;
 pub mod chunk;
 pub mod config;
-pub mod deque;
 pub mod entry;
 pub mod fault;
 pub mod mmu;
@@ -75,9 +74,8 @@ pub mod system;
 pub mod tenancy;
 
 pub use admission::{AdmissionControl, AdmissionCounters, AdmissionPermit, Busy};
-pub use chunk::{run_jobs_chunked, run_jobs_chunked_with, ChunkSim};
+pub use chunk::ChunkSim;
 pub use config::{PomTlbConfig, SimConfig, SystemConfig};
-pub use deque::StealDeque;
 pub use entry::PomEntry;
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultStats};
 pub use mmu::{CoreMmu, MmuHit};
@@ -85,8 +83,8 @@ pub use pom_tlb::{PomLookup, PomTlb, PomTlbStats};
 pub use predictor::{PredictorStats, SizeBypassPredictor};
 pub use report::SimReport;
 pub use runner::{
-    default_jobs, run_jobs, run_jobs_with, share_traces, share_traces_with_store, JobOutcome,
-    JobResult, RunPolicy, ShareOutcome, SimJob,
+    default_jobs, run_jobs, run_jobs_with, share_traces, JobOutcome, JobResult, RunPolicy,
+    SimJob,
 };
 pub use scheme::Scheme;
 pub use shootdown::{

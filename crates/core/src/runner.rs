@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pomtlb_trace::{SharedTrace, TraceKey, TraceStore, WorkloadSpec};
+use pomtlb_trace::{SharedTrace, WorkloadSpec};
 
 use crate::config::{SimConfig, SystemConfig};
 use crate::fault::FaultConfig;
@@ -161,9 +161,9 @@ impl SimJob {
         self.to_simulation().run()
     }
 
-    /// Builds the [`Simulation`] this job describes, without running it.
-    /// The chunked scheduler uses this to [`Simulation::begin`] a
-    /// resumable run; sabotage is *not* tripped here (it belongs to the
+    /// Builds the [`Simulation`] this job describes, without running it,
+    /// for callers that drive [`Simulation::begin`] themselves (to time its
+    /// phases, say). Sabotage is *not* tripped here (it belongs to the
     /// execution attempt, not to construction).
     pub fn to_simulation(&self) -> Simulation {
         let mut sim = Simulation::new(&self.spec, self.scheme, self.sim)
@@ -183,21 +183,6 @@ impl SimJob {
     }
 }
 
-/// What [`share_traces_with_store`] did for one batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShareOutcome {
-    /// Distinct input streams attached across the batch.
-    pub attached: usize,
-    /// Streams generated live this call (store misses, or no store).
-    pub recorded: usize,
-    /// Streams replayed from the persistent store.
-    pub store_hits: usize,
-    /// Distinct streams the store lacked (absent or unusable on disk).
-    pub store_misses: usize,
-    /// Total byte footprint of store-replayed recordings (mapped or read).
-    pub bytes_mapped: u64,
-}
-
 /// Records each distinct input stream in `jobs` once and attaches the
 /// recording to every job that consumes it, so a compare/sweep batch
 /// generates each (workload, seed, core-count) trace a single time instead
@@ -208,22 +193,6 @@ pub struct ShareOutcome {
 /// is bit-identical to live generation, so batch output is unchanged.
 /// Jobs that already carry a trace are left alone.
 pub fn share_traces(jobs: &mut [SimJob]) -> usize {
-    share_traces_with_store(jobs, None).attached
-}
-
-/// [`share_traces`] backed by a persistent [`TraceStore`]: each distinct
-/// stream is replayed from disk when a valid recording exists
-/// (*map-on-hit*) and generated live then persisted when it does not
-/// (*record-on-miss*), so a second invocation over the same batch — even in
-/// a new process — runs zero generator passes.
-///
-/// With `store: None` this is exactly [`share_traces`]. Store defects
-/// (corruption, version mismatch, truncation) degrade to live generation —
-/// transient I/O errors are first retried with capped exponential backoff
-/// inside [`TraceStore::load`] — and persistence failures only warn; the
-/// batch output is byte-identical to a storeless run in every case.
-pub fn share_traces_with_store(jobs: &mut [SimJob], store: Option<&TraceStore>) -> ShareOutcome {
-    let mut outcome = ShareOutcome::default();
     let mut recordings: Vec<Arc<SharedTrace>> = Vec::new();
     for job in jobs.iter_mut() {
         if job.trace.is_some() {
@@ -237,53 +206,20 @@ pub fn share_traces_with_store(jobs: &mut [SimJob], store: Option<&TraceStore>) 
         let trace = match existing {
             Some(t) => Arc::clone(t),
             None => {
-                let from_store = store.and_then(|s| {
-                    let key = TraceKey {
-                        spec: job.spec.clone(),
-                        seed: job.sim.seed,
-                        n_cores: n,
-                        shared_memory: job.shared_memory,
-                        total_refs: total,
-                    };
-                    s.load(&key)
-                });
-                let t = match from_store {
-                    Some(t) => {
-                        outcome.store_hits += 1;
-                        outcome.bytes_mapped += t.buffer_bytes() as u64;
-                        t
-                    }
-                    None => {
-                        if store.is_some() {
-                            outcome.store_misses += 1;
-                        }
-                        let t = Arc::new(SharedTrace::generate(
-                            &job.spec,
-                            job.sim.seed,
-                            n,
-                            job.shared_memory,
-                            total,
-                        ));
-                        if let Some(s) = store {
-                            if let Err(e) = s.save(&t) {
-                                eprintln!(
-                                    "trace-store: cannot persist recording for `{}`: {e}",
-                                    job.spec.name
-                                );
-                            }
-                        }
-                        outcome.recorded += 1;
-                        t
-                    }
-                };
-                outcome.attached += 1;
+                let t = Arc::new(SharedTrace::generate(
+                    &job.spec,
+                    job.sim.seed,
+                    n,
+                    job.shared_memory,
+                    total,
+                ));
                 recordings.push(Arc::clone(&t));
                 t
             }
         };
         job.trace = Some(trace);
     }
-    outcome
+    recordings.len()
 }
 
 /// The outcome of one job: the report plus wall-clock accounting.
@@ -315,7 +251,7 @@ pub struct RunPolicy {
     /// Re-run a panicking job up to this many additional times before
     /// reporting it [`JobOutcome::Panicked`]. Simulations are
     /// deterministic, so retries only help against *harness* faults
-    /// (trace-store I/O, sabotage, resource exhaustion) — keep this small.
+    /// (sabotage, resource exhaustion) — keep this small.
     pub max_retries: u32,
     /// Soft per-attempt wall-clock budget: an attempt that completes but
     /// took longer comes back as [`JobOutcome::TimedOut`] (the report is
@@ -440,7 +376,7 @@ pub fn default_jobs() -> usize {
 }
 
 /// Extracts a human-readable message from a caught panic payload.
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -502,7 +438,7 @@ fn run_one(job: &SimJob, policy: &RunPolicy, deadline_at: Option<Instant>) -> Jo
 /// Locks a mutex, tolerating poison: a panicking sibling must never cost
 /// the batch its completed results (the poisoned state is just "a panic
 /// happened while held", and slot writes are single plain stores).
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
@@ -821,28 +757,6 @@ mod tests {
             let fb = format!("{:?}", b.report);
             assert_eq!(fa, fb, "job {} diverged under trace replay", a.label);
         }
-    }
-
-    #[test]
-    fn share_traces_with_store_round_trips_across_handles() {
-        let dir = std::env::temp_dir()
-            .join(format!("pomtlb-runner-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Cold handle: the one distinct stream is generated and persisted.
-        let store = TraceStore::open(&dir).expect("open store");
-        let mut jobs = batch();
-        let cold = share_traces_with_store(&mut jobs, Some(&store));
-        assert_eq!((cold.attached, cold.recorded, cold.store_hits), (1, 1, 0));
-        assert_eq!(cold.store_misses, 1);
-        drop(store);
-        // Fresh handle over the same directory: pure replay.
-        let store = TraceStore::open(&dir).expect("reopen store");
-        let mut jobs = batch();
-        let warm = share_traces_with_store(&mut jobs, Some(&store));
-        assert_eq!((warm.attached, warm.recorded, warm.store_hits), (1, 0, 1));
-        assert!(warm.bytes_mapped > 0);
-        assert!(jobs[0].trace.as_ref().unwrap().is_stored());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -60,9 +60,8 @@ struct Counters {
 ///
 /// `Clone` is the system-state snapshot primitive: every component is a
 /// plain owned value (the SoA TLB/cache arrays clone as flat memcpys, the
-/// page tables as arena copies), so a clone is a consistent mid-stream
-/// checkpoint the chunked scheduler and the fork-modeling example restore
-/// from.
+/// page tables as arena copies), so a clone is a consistent, independent
+/// mid-stream checkpoint.
 #[derive(Clone)]
 pub struct System {
     config: SystemConfig,
@@ -883,9 +882,8 @@ impl Simulation {
     ///
     /// Equivalent to [`Simulation::begin`] followed by advancing the
     /// resulting [`crate::chunk::ChunkSim`] through the whole reference
-    /// budget in one chunk — the chunked scheduler and this method execute
-    /// the identical per-reference loop, which is why chunking cannot
-    /// perturb a report.
+    /// budget in one step — a caller advancing in several steps executes
+    /// the identical per-reference loop, so its report is byte-identical.
     pub fn run(self) -> SimReport {
         let mut chunk = self.begin();
         chunk.advance(u64::MAX);
@@ -953,7 +951,7 @@ mod tests {
     #[test]
     fn cloned_system_is_an_independent_machine_snapshot() {
         // `System: Clone` is the whole-machine snapshot primitive behind
-        // chunk retry and fork modeling: a clone must carry every cached
+        // fork modeling: a clone must carry every cached
         // translation, and divergence (a shootdown storm in the clone)
         // must leave the original untouched.
         let space = AddressSpace::new(VmId(0), ProcessId(0));

@@ -16,9 +16,8 @@ pub struct ChurnCounters {
 
 /// Tracks which VM_IDs are currently torn down, so ID reuse is observable.
 ///
-/// `Clone` is cheap and exact (one bit-vector), which is what lets the
-/// chunked scheduler snapshot/restore lifecycle state with the rest of
-/// [`crate::System`] and keep consolidation runs byte-identical.
+/// `Clone` is cheap and exact (one bit-vector), so a cloned
+/// [`crate::System`] carries lifecycle state byte-identically.
 #[derive(Debug, Clone, Default)]
 pub struct VmLifecycle {
     counters: ChurnCounters,

@@ -19,10 +19,9 @@
 //!   the 10k-VM uniformity test uses);
 //! * [`VmLifecycle`] — destroy/reboot tracking that survives VM_ID reuse.
 //!
-//! All state here is plain owned data (`Clone` = snapshot), so tenant
-//! accounting rides through the chunked scheduler's checkpoint/restore
-//! machinery unchanged and the byte-identical determinism contract holds
-//! for consolidation runs too.
+//! All state here is plain owned data (`Clone` = snapshot) and every
+//! transition is deterministic, so the byte-identical determinism contract
+//! holds for consolidation runs too.
 
 pub mod churn;
 pub mod dispersion;

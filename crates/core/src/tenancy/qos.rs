@@ -3,9 +3,8 @@
 //! A 10k-VM run cannot afford per-VM sliding windows or sorted latency
 //! lists. Instead each tenant owns a row of fixed log2 buckets — recording
 //! a reference is one index computation and one increment, cloning the
-//! whole accounting state is one flat memcpy (the chunked scheduler's
-//! snapshot primitive), and percentiles fall out of a cumulative walk at
-//! report time.
+//! whole accounting state is one flat memcpy, and percentiles fall out of
+//! a cumulative walk at report time.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +78,8 @@ pub struct TenancyStats {
 /// Streaming per-VM QoS accounting carried by [`crate::System`].
 ///
 /// Disabled (and free) unless [`TenantQos::enable`] is called; every state
-/// transition is deterministic, and `Clone` is exact, so this rides the
-/// chunked scheduler's snapshot/restore without breaking byte-identity.
+/// transition is deterministic, and `Clone` is exact, so a cloned
+/// [`crate::System`] carries it without breaking byte-identity.
 #[derive(Debug, Clone, Default)]
 pub struct TenantQos {
     vms: u32,

@@ -1,13 +1,13 @@
 //! # pomtlb-serve: the long-lived sweep service
 //!
 //! Every CLI invocation before this crate paid the same warm-up taxes:
-//! generate (or load) the input streams, build the simulators, run the
-//! batch — then throw all of it away. The serve crate keeps that state
-//! alive. A [`Service`] is a daemon-shaped object that accepts sim,
-//! compare, consolidation and fault-sweep requests as JSON lines (over
-//! stdin, a Unix socket, or a hardened TCP listener), keeps one warm [`pomtlb_trace::TraceStore`] handle and one
-//! worker-pool policy across requests, and answers *repeated* requests
-//! from a second content-addressed store: the [`ReportStore`], which
+//! generate the input streams, build the simulators, run the batch — then
+//! throw all of it away. The serve crate keeps that state alive. A
+//! [`Service`] is a daemon-shaped object that accepts sim, compare,
+//! consolidation and fault-sweep requests as JSON lines (over stdin, a
+//! Unix socket, or a hardened TCP listener), keeps one worker-pool policy
+//! across requests, and answers *repeated* requests from a
+//! content-addressed store: the [`ReportStore`], which
 //! memoizes finished response bodies keyed by [`request_digest`] — the
 //! shared 4-lane splitmix digest over the trace key plus every
 //! configuration dimension that can change the result.

@@ -1,7 +1,6 @@
 //! A persistent, content-addressed store of memoized serve responses.
 //!
-//! The trace store (PR 4) removed redundant *generator* passes across
-//! invocations; every finished `SimReport` still died with its process. The
+//! Without it every finished `SimReport` dies with its process. The
 //! report store closes that gap for the serve daemon: the canonical
 //! response body of a completed request is spilled to disk in the
 //! checksummed POMREP1 format, addressed by the request digest
@@ -31,9 +30,9 @@
 //! ```
 //!
 //! Files are written to a tmp name and atomically renamed, so readers
-//! never observe a half-written entry. The manifest is *advisory* exactly
-//! as the trace store's is: it accelerates `stats` and feeds LRU eviction,
-//! but entries are self-describing and self-checking.
+//! never observe a half-written entry. The manifest is *advisory*: it
+//! accelerates `stats` and feeds LRU eviction, but entries are
+//! self-describing and self-checking.
 //!
 //! # Fallback rules
 //!
@@ -260,7 +259,7 @@ fn verify_file(path: &Path, stem_hex: &str) -> io::Result<()> {
 ///
 /// Handles are cheap and independent: two processes (or two handles in
 /// one process) pointed at the same directory interoperate through the
-/// atomic-rename write protocol, exactly like [`pomtlb_trace::TraceStore`].
+/// atomic-rename write protocol.
 #[derive(Debug)]
 pub struct ReportStore {
     root: PathBuf,
@@ -520,8 +519,7 @@ impl ReportStore {
     }
 
     /// Acquires the advisory cross-process manifest lock (create-new lock
-    /// file, stale-broken after [`LOCK_STALE_AGE`], bounded wait — same
-    /// protocol and rationale as the trace store's).
+    /// file, stale-broken after [`LOCK_STALE_AGE`], bounded wait).
     fn lock_manifest_dir(&self) -> DirLockGuard {
         let path = self.root.join(MANIFEST_LOCK_FILE);
         for _ in 0..50 {

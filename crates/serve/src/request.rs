@@ -706,4 +706,18 @@ mod tests {
         let resolved = r.resolve().expect("resolve");
         assert_eq!(resolved.sim.warmup_per_core, 15_000, "zero means default");
     }
+
+    /// The request digest names every stored POMREP1 report, so any change
+    /// to it (or to the `TraceKey` digest it hashes) orphans every report
+    /// store. This pins the value `pomtlb serve` returns as `body.digest`.
+    #[test]
+    fn request_digest_is_pinned() {
+        let line = r#"{"kind":"compare","workload":"gups","cores":2,"refs":3000,"warmup":1000}"#;
+        let r: ServeRequest = serde_json::from_str(line).expect("parse");
+        let digest = request_digest(&r.resolve().expect("resolve"));
+        assert_eq!(
+            pomtlb_trace::digest::digest_hex(&digest),
+            "f64e09ed8099c311791880be507fe446b4ec53f3cac2c6e777e03c30af215728"
+        );
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`Service`] is a lightweight per-connection handle onto one shared
 //! warm core ([`ServiceShared`]): the resolved configuration, one warm
-//! [`TraceStore`] handle (input streams), one [`ReportStore`] handle
-//! (memoized response bodies), the in-memory hot tier, the single-flight
-//! table, and the admission gate in front of the worker pool.
+//! [`ReportStore`] handle (memoized response bodies), the in-memory hot
+//! tier, the single-flight table, and the admission gate in front of the
+//! worker pool.
 //! [`Service::handle_line`] maps one request line to one response line;
 //! [`serve_stdin`] drives one conversation, and the socket transports in
 //! [`crate::transport`] (`serve_unix`, `serve_tcp`) multiplex many — one
@@ -58,11 +58,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pom_tlb::{
-    default_jobs, run_jobs_with, share_traces_with_store, AdmissionControl, JobOutcome, RunPolicy,
-    SimReport,
+    default_jobs, run_jobs_with, share_traces, AdmissionControl, JobOutcome, RunPolicy, SimReport,
 };
 use pomtlb_trace::digest::digest_hex;
-use pomtlb_trace::TraceStore;
 use serde::Serialize;
 
 use crate::flight::{FlightFailure, Joined, SingleFlight};
@@ -93,9 +91,6 @@ const LATENCY_WINDOW: usize = 4096;
 /// How to stand up a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Trace-store directory for warm input streams (`None` = generate
-    /// live, share within each batch only).
-    pub trace_dir: Option<PathBuf>,
     /// Report-store directory for memoized bodies (`None` = memoization
     /// off; every request computes).
     pub report_dir: Option<PathBuf>,
@@ -131,7 +126,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            trace_dir: None,
             report_dir: None,
             report_max_bytes: DEFAULT_REPORT_MAX_BYTES,
             jobs: 0,
@@ -251,7 +245,6 @@ fn lock_hot<'a>(m: &'a Mutex<HotCache>) -> MutexGuard<'a, HotCache> {
 /// the service-wide counters they update.
 #[derive(Debug)]
 pub struct ServiceShared {
-    trace_store: Option<TraceStore>,
     report_store: Option<ReportStore>,
     hot: Option<Mutex<HotCache>>,
     flights: SingleFlight,
@@ -411,16 +404,6 @@ struct ReportStoreStats {
 }
 
 #[derive(Serialize)]
-struct TraceStoreStats {
-    enabled: bool,
-    root: String,
-    hits: u64,
-    misses: u64,
-    bytes_mapped: u64,
-    load_failures: u64,
-}
-
-#[derive(Serialize)]
 struct HotCacheStats {
     enabled: bool,
     entries: u64,
@@ -466,7 +449,6 @@ struct StatsBody {
     active_connections: u64,
     uptime_ms: u64,
     report_store: ReportStoreStats,
-    trace_store: TraceStoreStats,
     hot_cache: HotCacheStats,
     single_flight: SingleFlightStats,
     admission: AdmissionStats,
@@ -542,7 +524,6 @@ pub struct Service {
 impl Service {
     /// Opens the configured stores and builds a ready service.
     pub fn new(cfg: ServeConfig) -> io::Result<Service> {
-        let trace_store = cfg.trace_dir.map(TraceStore::open).transpose()?;
         let report_store = cfg
             .report_dir
             .map(ReportStore::open)
@@ -557,7 +538,6 @@ impl Service {
             cfg.max_inflight
         };
         let shared = ServiceShared {
-            trace_store,
             report_store,
             hot,
             flights: SingleFlight::new(),
@@ -607,11 +587,6 @@ impl Service {
     /// The warm report store, when memoization is enabled.
     pub fn report_store(&self) -> Option<&ReportStore> {
         self.shared.report_store.as_ref()
-    }
-
-    /// The warm trace store, when persistent traces are enabled.
-    pub fn trace_store(&self) -> Option<&TraceStore> {
-        self.shared.trace_store.as_ref()
     }
 
     /// Best-effort persistence of tier counters into the report dir.
@@ -835,7 +810,7 @@ impl Service {
         digest: &[u8; 32],
     ) -> Result<String, ComputeFailure> {
         let (mut jobs, rows) = resolved.jobs();
-        share_traces_with_store(&mut jobs, self.shared.trace_store.as_ref());
+        share_traces(&mut jobs);
         let workers = if self.shared.jobs == 0 { default_jobs() } else { self.shared.jobs };
         let outcomes = run_jobs_with(jobs, workers, self.shared.policy, &|_, _| {});
         let mut row_bodies = Vec::with_capacity(outcomes.len());
@@ -898,27 +873,6 @@ impl Service {
                 load_failures: 0,
             },
         };
-        let trace_store = match &shared.trace_store {
-            Some(s) => {
-                let c = s.counters();
-                TraceStoreStats {
-                    enabled: true,
-                    root: s.root().display().to_string(),
-                    hits: c.hits,
-                    misses: c.misses,
-                    bytes_mapped: c.bytes_mapped,
-                    load_failures: c.load_failures,
-                }
-            }
-            None => TraceStoreStats {
-                enabled: false,
-                root: String::new(),
-                hits: 0,
-                misses: 0,
-                bytes_mapped: 0,
-                load_failures: 0,
-            },
-        };
         let hot_cache = match &shared.hot {
             Some(hot) => {
                 let hot = lock_hot(hot);
@@ -954,7 +908,6 @@ impl Service {
             active_connections: shared.active_connections() as u64,
             uptime_ms: shared.uptime().as_millis() as u64,
             report_store,
-            trace_store,
             hot_cache,
             single_flight: SingleFlightStats {
                 led: shared.flights.led(),

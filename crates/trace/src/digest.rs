@@ -1,5 +1,4 @@
-//! Dependency-free, byte-stable hashing shared by the content-addressed
-//! stores.
+//! Dependency-free, byte-stable hashing for content addressing.
 //!
 //! Two families live here: FNV-1a 64 for section integrity checksums, and
 //! a 4-lane splitmix-based 256-bit digest for content addressing. Both are
@@ -7,12 +6,11 @@
 //! `#[derive(Hash)]` + SipHash with its per-process random keys — which is
 //! what lets a digest computed today name a file written last month.
 //!
-//! The trace store's POMTRC2 format ([`crate::file`] / `disk`) addresses
-//! recordings by [`digest256`] of a canonical [`crate::TraceKey`] encoding;
-//! the report store in `pomtlb-serve` addresses memoized reports by
-//! [`digest256`] of a canonical request encoding. Keeping one construction
-//! for both means one set of collision/stability tests and no second hash
-//! to audit.
+//! [`crate::TraceKey::digest`] is [`digest256`] of a canonical key
+//! encoding; the report store in `pomtlb-serve` addresses memoized reports
+//! by [`digest256`] of a canonical request encoding that embeds it, and
+//! checksums its files with [`fnv1a64`]. Keeping one construction for both
+//! means one set of collision/stability tests and no second hash to audit.
 
 use std::fmt::Write as _;
 

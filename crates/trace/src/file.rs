@@ -1,48 +1,19 @@
-//! Trace record/replay: a compact binary on-disk format.
+//! The POMTRC1 record encoding: one memory reference in 22 bytes.
 //!
-//! The paper's methodology is trace-driven; this crate's generators are the
-//! built-in trace *source*, but a downstream user with real traces (PIN,
-//! DynamoRIO, QEMU plugins) can convert them to this format and drive the
-//! simulator with the exact reference stream their application produced.
-//!
-//! Format (little-endian):
+//! [`crate::SharedTrace`] stores its recorded references in this encoding
+//! (little-endian):
 //!
 //! ```text
-//! magic  "POMTRC1\n"                      8 bytes
-//! count  u64                              8 bytes
-//! record { icount u64, addr u64, vm u16, pid u16, kind u8, pad u8 } × count
+//! record { icount u64, addr u64, vm u16, pid u16, kind u8, pad u8 }
 //! ```
-//!
-//! Records are 22 bytes; a 100 M-reference trace is ~2.2 GB, comparable to
-//! compressed PIN output for the paper's 20 B-instruction runs.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use pomtlb_types::{AccessKind, AddressSpace, Gva, ProcessId, VmId};
 
 use crate::record::MemoryRef;
 
-const MAGIC: &[u8; 8] = b"POMTRC1\n";
 pub(crate) const RECORD_BYTES: usize = 22;
-
-/// Writes `refs` to `w`, returning how many records were written.
-///
-/// The iterator is drained; use `.take(n)` on an infinite generator.
-pub fn write_trace<W: Write>(
-    mut w: W,
-    refs: impl IntoIterator<Item = MemoryRef>,
-) -> io::Result<u64> {
-    // Buffer records first: the header carries the count.
-    let records: Vec<MemoryRef> = refs.into_iter().collect();
-    w.write_all(MAGIC)?;
-    w.write_all(&(records.len() as u64).to_le_bytes())?;
-    let mut buf = [0u8; RECORD_BYTES];
-    for r in &records {
-        encode_record(r, &mut buf);
-        w.write_all(&buf)?;
-    }
-    Ok(records.len() as u64)
-}
 
 pub(crate) fn encode_record(r: &MemoryRef, buf: &mut [u8; RECORD_BYTES]) {
     buf[0..8].copy_from_slice(&r.icount.to_le_bytes());
@@ -79,68 +50,6 @@ pub(crate) fn decode_record(buf: &[u8; RECORD_BYTES]) -> io::Result<MemoryRef> {
     ))
 }
 
-/// A streaming reader over a trace file: an `Iterator<Item = io::Result<MemoryRef>>`.
-///
-/// Compose with the interleaver after collecting, or feed one
-/// [`TraceReader`] per core.
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    inner: R,
-    remaining: u64,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a trace, validating the magic and header.
-    ///
-    /// # Errors
-    ///
-    /// Fails with `InvalidData` if the magic does not match.
-    pub fn new(mut inner: R) -> io::Result<TraceReader<R>> {
-        let mut magic = [0u8; 8];
-        inner.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not a POMTRC1 trace"));
-        }
-        let mut count = [0u8; 8];
-        inner.read_exact(&mut count)?;
-        Ok(TraceReader { inner, remaining: u64::from_le_bytes(count) })
-    }
-
-    /// Records left to read.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Reads the rest of the trace into memory (convenience for tests and
-    /// small traces).
-    pub fn read_all(mut self) -> io::Result<Vec<MemoryRef>> {
-        let mut out = Vec::with_capacity(self.remaining.min(1 << 24) as usize);
-        for r in &mut self {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = io::Result<MemoryRef>;
-
-    fn next(&mut self) -> Option<io::Result<MemoryRef>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let mut buf = [0u8; RECORD_BYTES];
-        match self.inner.read_exact(&mut buf) {
-            Ok(()) => Some(decode_record(&buf)),
-            Err(e) => {
-                self.remaining = 0;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,98 +67,18 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_every_field() {
-        let refs = sample(500);
-        let mut buf = Vec::new();
-        let n = write_trace(&mut buf, refs.clone()).unwrap();
-        assert_eq!(n, 500);
-        let back = TraceReader::new(buf.as_slice()).unwrap().read_all().unwrap();
-        assert_eq!(refs, back);
-    }
-
-    #[test]
-    fn header_counts_records() {
-        let refs = sample(37);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, refs).unwrap();
-        let reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.remaining(), 37);
-        assert_eq!(buf.len(), 16 + 37 * RECORD_BYTES);
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, Vec::new()).unwrap();
-        let back = TraceReader::new(buf.as_slice()).unwrap().read_all().unwrap();
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn rejects_wrong_magic() {
-        let err = TraceReader::new(&b"NOTATRACE-------"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut buf = [0u8; RECORD_BYTES];
+        for r in sample(500) {
+            encode_record(&r, &mut buf);
+            assert_eq!(decode_record(&buf).unwrap(), r);
+        }
     }
 
     #[test]
     fn rejects_corrupt_kind_byte() {
-        let refs = sample(1);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, refs).unwrap();
-        buf[16 + 20] = 9; // corrupt the kind byte of record 0
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert!(reader.next().unwrap().is_err());
-    }
-
-    #[test]
-    fn truncated_file_reports_error_not_panic() {
-        let refs = sample(3);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, refs).unwrap();
-        buf.truncate(16 + RECORD_BYTES + 5); // cut record 1 short
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert!(reader.next().unwrap().is_ok());
-        assert!(reader.next().unwrap().is_err());
-        assert!(reader.next().is_none(), "iterator fuses after an error");
-    }
-
-    #[test]
-    fn replayed_traces_interleave_like_live_generators() {
-        // Record two cores' traces, replay them through the interleaver,
-        // and check the merge equals interleaving the live generators.
-        use crate::Interleaver;
-        let refs_a = sample(200);
-        let spec = WorkloadSpec::builder("file-test-b")
-            .footprint_bytes(8 << 20)
-            .locality(LocalityModel::UniformRandom)
-            .build();
-        let refs_b: Vec<MemoryRef> = TraceGenerator::new(&spec, 8).take(200).collect();
-
-        let mut buf_a = Vec::new();
-        let mut buf_b = Vec::new();
-        write_trace(&mut buf_a, refs_a.clone()).unwrap();
-        write_trace(&mut buf_b, refs_b.clone()).unwrap();
-
-        let replay_a: Vec<MemoryRef> =
-            TraceReader::new(buf_a.as_slice()).unwrap().map(|r| r.unwrap()).collect();
-        let replay_b: Vec<MemoryRef> =
-            TraceReader::new(buf_b.as_slice()).unwrap().map(|r| r.unwrap()).collect();
-
-        let live: Vec<_> =
-            Interleaver::new(vec![refs_a.into_iter(), refs_b.into_iter()]).collect();
-        let replayed: Vec<_> =
-            Interleaver::new(vec![replay_a.into_iter(), replay_b.into_iter()]).collect();
-        assert_eq!(live, replayed);
-    }
-
-    #[test]
-    fn streaming_matches_read_all() {
-        let refs = sample(64);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, refs.clone()).unwrap();
-        let streamed: Vec<MemoryRef> = TraceReader::new(buf.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(streamed, refs);
+        let mut buf = [0u8; RECORD_BYTES];
+        encode_record(&sample(1)[0], &mut buf);
+        buf[20] = 9;
+        assert_eq!(decode_record(&buf).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -28,7 +28,7 @@ static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 ///
 /// Every live generator pass builds exactly one interleaver, and trace
 /// replay builds none — so a delta of zero across a batch *proves* the
-/// batch ran entirely from recordings (the trace store's cross-invocation
+/// batch ran entirely from recordings or memoized answers (the serve
 /// integration tests assert exactly that). Monotonic and process-global;
 /// meaningful as a before/after delta, not an absolute.
 pub fn interleaver_constructions() -> u64 {

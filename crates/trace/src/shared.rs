@@ -28,45 +28,14 @@ use std::sync::Arc;
 
 use pomtlb_types::{AddressSpace, CoreId, ProcessId, VmId};
 
-use crate::disk::{self, Mapping, CORE_BYTES};
+use crate::digest::digest256;
 use crate::event::{OsEvent, TraceItem, WorkloadStream};
 use crate::file::{decode_record, encode_record, RECORD_BYTES};
 use crate::interleave::{CoreItem, Interleaver};
-use crate::spec::WorkloadSpec;
+use crate::spec::{LocalityModel, WorkloadSpec};
 
-/// Backing storage of one recording section: a buffer the generator owns,
-/// or a byte range inside a store [`Mapping`] (replayed recordings decode
-/// in place; the `Arc` keeps the mapping alive for every sharing iterator).
-#[derive(Debug, Clone)]
-pub(crate) enum Section {
-    /// Recorded live into an owned buffer.
-    Owned(Vec<u8>),
-    /// A byte range of a persistent recording.
-    Stored {
-        /// The mapped (or read) file.
-        map: Arc<Mapping>,
-        /// Section start within the file.
-        offset: usize,
-        /// Section length in bytes.
-        len: usize,
-    },
-}
-
-impl Section {
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            Section::Owned(v) => v,
-            Section::Stored { map, offset, len } => &map.bytes()[*offset..*offset + *len],
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Section::Owned(v) => v.len(),
-            Section::Stored { len, .. } => *len,
-        }
-    }
-}
+/// Bytes per core-id entry in the cores buffer.
+const CORE_BYTES: usize = 2;
 
 /// The parameters a recorded stream is valid for. Two simulations can share
 /// a trace exactly when these compare equal.
@@ -90,18 +59,121 @@ impl TraceKey {
     /// Computed over a versioned, field-by-field canonical byte encoding —
     /// not `#[derive(Hash)]` — so it depends only on the key's *values*:
     /// the same key digests to the same 32 bytes on every run, build and
-    /// platform, which is what lets a [`crate::TraceStore`] address
-    /// recordings by content across processes. Bumping the encoding bumps
-    /// its version constant, which is baked into both the digest input and
-    /// the POMTRC2 header, so stale digests can never alias new ones.
+    /// platform, which is what lets the serve layer's request digest (and
+    /// so every stored report's name) depend on it. Changing the encoding
+    /// bumps its version, which is baked into the digest input, so stale
+    /// digests can never alias new ones.
     pub fn digest(&self) -> [u8; 32] {
-        disk::key_digest(self)
+        key_digest(self)
     }
+}
 
-    /// [`TraceKey::digest`] as lowercase hex — the store's file stem.
-    pub fn digest_hex(&self) -> String {
-        disk::digest_hex(&self.digest())
+/// Version of the canonical [`key_bytes`] encoding, baked into the digest
+/// input so stale digests can never alias new ones.
+pub(crate) const KEY_DIGEST_VERSION: u32 = 2;
+
+// ---------------------------------------------------------------------------
+// Canonical TraceKey serialization. Field-by-field, explicitly versioned,
+// with tagged enums and length-prefixed strings — the digest depends only on
+// the key's *values*, never on struct layout, field order in memory, or a
+// derived Hash implementation.
+
+fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_locality(out: &mut Vec<u8>, m: &LocalityModel) {
+    match m {
+        LocalityModel::Streaming { streams } => {
+            put_u8(out, 0);
+            put_u32(out, *streams);
+        }
+        LocalityModel::UniformRandom => put_u8(out, 1),
+        LocalityModel::Zipf { alpha } => {
+            put_u8(out, 2);
+            put_f64(out, *alpha);
+        }
+        LocalityModel::PointerChase { hot_frac, hot_prob } => {
+            put_u8(out, 3);
+            put_f64(out, *hot_frac);
+            put_f64(out, *hot_prob);
+        }
+        LocalityModel::WorkingSetWindow { window_pages, dwell } => {
+            put_u8(out, 4);
+            put_u64(out, *window_pages);
+            put_u64(out, *dwell);
+        }
+        LocalityModel::TlbConflictSet { pages, stride_pages } => {
+            put_u8(out, 5);
+            put_u32(out, *pages);
+            put_u64(out, *stride_pages);
+        }
+        LocalityModel::Mixed(parts) => {
+            put_u8(out, 6);
+            put_u64(out, parts.len() as u64);
+            for (weight, sub) in parts {
+                put_f64(out, *weight);
+                put_locality(out, sub);
+            }
+        }
     }
+}
+
+/// The canonical byte encoding of a [`TraceKey`], version
+/// [`KEY_DIGEST_VERSION`]. Every field that influences the recorded stream
+/// is included — spec (name, footprint, page mix, rates, locality, burst
+/// knobs, all five OS-event rates), seed, core count, sharing mode and
+/// reference budget.
+pub(crate) fn key_bytes(key: &TraceKey) -> Vec<u8> {
+    let mut out = Vec::with_capacity(160);
+    put_u32(&mut out, KEY_DIGEST_VERSION);
+    let spec = &key.spec;
+    put_str(&mut out, &spec.name);
+    put_u64(&mut out, spec.footprint_bytes);
+    put_f64(&mut out, spec.large_page_frac);
+    put_f64(&mut out, spec.refs_per_kilo_instr);
+    put_f64(&mut out, spec.write_frac);
+    put_locality(&mut out, &spec.locality);
+    put_f64(&mut out, spec.same_page_burst);
+    put_f64(&mut out, spec.line_repeat);
+    put_f64(&mut out, spec.os_events.unmaps);
+    put_f64(&mut out, spec.os_events.remaps);
+    put_f64(&mut out, spec.os_events.promotes);
+    put_f64(&mut out, spec.os_events.migrations);
+    put_f64(&mut out, spec.os_events.vm_destroys);
+    put_u64(&mut out, u64::from(spec.tenancy.vms));
+    put_f64(&mut out, spec.tenancy.skew);
+    put_f64(&mut out, spec.tenancy.ws_decay);
+    put_f64(&mut out, spec.tenancy.churn_destroys_per_10k);
+    put_f64(&mut out, spec.tenancy.fork_storms_per_10k);
+    put_u64(&mut out, u64::from(spec.tenancy.fork_pages));
+    put_u64(&mut out, key.seed);
+    put_u64(&mut out, key.n_cores as u64);
+    put_u8(&mut out, u8::from(key.shared_memory));
+    put_u64(&mut out, key.total_refs);
+    out
+}
+
+/// [`digest256`] of [`key_bytes`] — the key's content address.
+pub(crate) fn key_digest(key: &TraceKey) -> [u8; 32] {
+    digest256(&key_bytes(key))
 }
 
 /// One workload's merged reference + OS-event stream, recorded once and
@@ -111,9 +183,9 @@ pub struct SharedTrace {
     key: TraceKey,
     /// Issuing core of every item (reference or event) as little-endian
     /// `u16`s, in merge order.
-    cores: Section,
+    cores: Vec<u8>,
     /// POMTRC1-encoded records of the reference items, in merge order.
-    refs: Section,
+    refs: Vec<u8>,
     /// OS events as (item position, event), sparse and position-sorted.
     events: Vec<(u64, OsEvent)>,
 }
@@ -169,23 +241,10 @@ impl SharedTrace {
                 shared_memory,
                 total_refs,
             },
-            cores: Section::Owned(cores),
-            refs: Section::Owned(refs),
+            cores,
+            refs,
             events,
         }
-    }
-
-    /// Assembles a recording from pre-validated sections — the
-    /// [`crate::TraceStore`] load path. The caller vouches that `cores` and
-    /// `refs` hold exactly the encodings [`SharedTrace::generate`] produces
-    /// for `key` (the store checks digest + checksums before calling this).
-    pub(crate) fn from_sections(
-        key: TraceKey,
-        cores: Section,
-        refs: Section,
-        events: Vec<(u64, OsEvent)>,
-    ) -> SharedTrace {
-        SharedTrace { key, cores, refs, events }
     }
 
     /// The parameters this recording is valid for.
@@ -221,40 +280,17 @@ impl SharedTrace {
         self.events.len() as u64
     }
 
-    /// Approximate heap (or mapped-file) footprint of the recording, in
-    /// bytes.
+    /// Approximate heap footprint of the recording, in bytes.
     pub fn buffer_bytes(&self) -> usize {
         self.refs.len()
             + self.cores.len()
             + self.events.len() * std::mem::size_of::<(u64, OsEvent)>()
     }
 
-    /// Whether the recording replays out of a persistent store mapping
-    /// rather than a live-generated buffer.
-    pub fn is_stored(&self) -> bool {
-        matches!(self.refs, Section::Stored { .. })
-    }
-
-    /// The cores section bytes (one little-endian `u16` per item).
-    pub(crate) fn cores_bytes(&self) -> &[u8] {
-        self.cores.as_bytes()
-    }
-
-    /// The refs section bytes (POMTRC1 records).
-    pub(crate) fn refs_bytes(&self) -> &[u8] {
-        self.refs.as_bytes()
-    }
-
-    /// The sparse event list.
-    pub(crate) fn events_list(&self) -> &[(u64, OsEvent)] {
-        &self.events
-    }
-
     /// Issuing core of item `i`, if recorded.
     fn core_at(&self, i: usize) -> Option<u16> {
-        let bytes = self.cores.as_bytes();
         let off = i.checked_mul(CORE_BYTES)?;
-        let pair = bytes.get(off..off + CORE_BYTES)?;
+        let pair = self.cores.get(off..off + CORE_BYTES)?;
         Some(u16::from_le_bytes([pair[0], pair[1]]))
     }
 
@@ -262,98 +298,18 @@ impl SharedTrace {
     /// iterator can outlive the caller's borrow — the runner hands clones
     /// of one recording to several scheme runs).
     pub fn replay(self: &Arc<Self>) -> SharedTraceIter {
-        self.replay_from(TraceCursor::START)
-    }
-
-    /// A replay iterator resuming at `cursor` (see
-    /// [`SharedTrace::cursor_at_ref`] and [`SharedTraceIter::cursor`]).
-    pub fn replay_from(self: &Arc<Self>, cursor: TraceCursor) -> SharedTraceIter {
-        SharedTraceIter {
-            trace: Arc::clone(self),
-            item: cursor.item,
-            ref_off: cursor.ref_off,
-            event_idx: cursor.event_idx,
-        }
-    }
-
-    /// The cursor positioned so the next *reference* decoded is the
-    /// `r`-th of the recording (0-based). OS events between references
-    /// belong to the chunk that consumes the reference after them.
-    ///
-    /// This is the chunk-boundary computation of the chunked scheduler:
-    /// chunk `k` of size `C` replays from `cursor_at_ref(k * C)`. Because
-    /// the event list is sparse and position-sorted, the item index is the
-    /// fixed point `item = r + e` where `e` counts events at positions
-    /// before `item` — found by one scan of the (short) event list, never
-    /// by decoding records.
-    pub fn cursor_at_ref(&self, r: u64) -> TraceCursor {
-        let r = r.min(self.refs());
-        let mut e = 0usize;
-        while e < self.events.len() && self.events[e].0 < r + e as u64 {
-            e += 1;
-        }
-        TraceCursor {
-            item: (r + e as u64) as usize,
-            ref_off: r as usize * RECORD_BYTES,
-            event_idx: e,
-        }
-    }
-}
-
-/// A resumable position inside a [`SharedTrace`] replay: the item index
-/// plus the derived record offset and sparse-event index, so resuming is
-/// O(1) with no re-decoding. Obtained from [`SharedTrace::cursor_at_ref`]
-/// (chunk boundaries) or [`SharedTraceIter::cursor`] (wherever an iterator
-/// stopped); consumed by [`SharedTrace::replay_from`].
-///
-/// A cursor is only meaningful for the trace that produced it — positions
-/// index that recording's buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCursor {
-    item: usize,
-    ref_off: usize,
-    event_idx: usize,
-}
-
-impl TraceCursor {
-    /// The beginning of the recording.
-    pub const START: TraceCursor = TraceCursor { item: 0, ref_off: 0, event_idx: 0 };
-
-    /// Memory references consumed before this position.
-    pub fn refs_consumed(&self) -> u64 {
-        (self.ref_off / RECORD_BYTES) as u64
-    }
-
-    /// Items (references + events) consumed before this position.
-    pub fn items_consumed(&self) -> u64 {
-        self.item as u64
+        SharedTraceIter { trace: Arc::clone(self), item: 0, ref_off: 0, event_idx: 0 }
     }
 }
 
 /// Replays a [`SharedTrace`] as the `CoreItem<TraceItem>` stream the live
 /// interleaver would produce.
-///
-/// Cloning is cheap (an `Arc` bump plus three indices) and yields an
-/// independent iterator at the same position — the chunked scheduler's
-/// snapshot-for-retry path relies on this.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SharedTraceIter {
     trace: Arc<SharedTrace>,
     item: usize,
     ref_off: usize,
     event_idx: usize,
-}
-
-impl SharedTraceIter {
-    /// The current position, resumable via [`SharedTrace::replay_from`].
-    pub fn cursor(&self) -> TraceCursor {
-        TraceCursor { item: self.item, ref_off: self.ref_off, event_idx: self.event_idx }
-    }
-
-    /// The recording this iterator replays.
-    pub fn trace(&self) -> &Arc<SharedTrace> {
-        &self.trace
-    }
 }
 
 impl Iterator for SharedTraceIter {
@@ -367,12 +323,12 @@ impl Iterator for SharedTraceIter {
                 TraceItem::Event(*e)
             }
             _ => {
-                let buf: &[u8; RECORD_BYTES] = self.trace.refs.as_bytes()
+                let buf: &[u8; RECORD_BYTES] = self.trace.refs
                     [self.ref_off..self.ref_off + RECORD_BYTES]
                     .try_into()
                     .expect("record slice has RECORD_BYTES bytes");
                 self.ref_off += RECORD_BYTES;
-                TraceItem::Ref(decode_record(buf).expect("checksummed records are well-formed"))
+                TraceItem::Ref(decode_record(buf).expect("recorded records are well-formed"))
             }
         };
         self.item += 1;
@@ -383,8 +339,8 @@ impl Iterator for SharedTraceIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::digest_hex;
     use crate::event::OsEventRates;
-    use crate::spec::LocalityModel;
 
     fn spec(rates: OsEventRates) -> WorkloadSpec {
         WorkloadSpec::builder("shared-test")
@@ -478,82 +434,96 @@ mod tests {
         assert!(!trace.matches(&other, 1, 2, false, 100), "spec differs");
     }
 
+    fn key(seed: u64) -> TraceKey {
+        let spec = WorkloadSpec::builder("digest-test")
+            .footprint_bytes(32 << 20)
+            .large_page_frac(0.3)
+            .locality(LocalityModel::Zipf { alpha: 0.9 })
+            .build();
+        TraceKey { spec, seed, n_cores: 4, shared_memory: false, total_refs: 10_000 }
+    }
+
     #[test]
-    fn cursor_at_ref_equals_skipping() {
-        // Event-heavy so chunk boundaries land between, on, and after
-        // event positions.
-        let s = spec(OsEventRates {
-            unmaps: 8.0,
-            remaps: 2.0,
-            promotes: 1.0,
-            migrations: 1.0,
-            vm_destroys: 0.2,
-        });
-        let trace = Arc::new(SharedTrace::generate(&s, 11, 2, false, 3000));
-        assert!(trace.events() > 0);
-        let full: Vec<_> = trace.replay().collect();
-        for r in [0u64, 1, 7, 500, 1234, 2999, 3000] {
-            let cur = trace.cursor_at_ref(r);
-            assert_eq!(cur.refs_consumed(), r);
-            let resumed: Vec<_> = trace.replay_from(cur).collect();
-            // The suffix the cursor names: everything from the item index
-            // on. The first ref yielded must be ref number r.
-            assert_eq!(
-                resumed,
-                full[cur.items_consumed() as usize..],
-                "suffix from ref {r}"
-            );
-            let refs_before = full[..cur.items_consumed() as usize]
-                .iter()
-                .filter(|ci| matches!(ci.item, TraceItem::Ref(_)))
-                .count() as u64;
-            assert_eq!(refs_before, r, "exactly {r} refs precede the cursor");
+    fn digest_is_stable_across_computations() {
+        let k = key(7);
+        let (a, b) = (key_digest(&k), key_digest(&k));
+        assert_eq!(a, b);
+        assert_eq!(digest_hex(&a).len(), 64);
+    }
+
+    #[test]
+    fn digest_distinguishes_every_key_field() {
+        let base = key(7);
+        let mut variants: Vec<TraceKey> = vec![
+            TraceKey { seed: 8, ..base.clone() },
+            TraceKey { n_cores: 8, ..base.clone() },
+            TraceKey { shared_memory: true, ..base.clone() },
+            TraceKey { total_refs: 10_001, ..base.clone() },
+        ];
+        let mut s = base.clone();
+        s.spec.name = "digest-test2".into();
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.footprint_bytes += 4 << 10;
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.locality = LocalityModel::Zipf { alpha: 0.91 };
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.locality = LocalityModel::UniformRandom;
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.os_events = OsEventRates::unmap_heavy(5.0);
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.os_events = OsEventRates { remaps: 5.0, ..Default::default() };
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.write_frac += 0.01;
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.tenancy = crate::tenancy::TenantMix { vms: 1000, ..Default::default() };
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.tenancy = crate::tenancy::TenantMix { vms: 1000, skew: 0.9, ..Default::default() };
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.tenancy = crate::tenancy::TenantMix {
+            vms: 1000,
+            churn_destroys_per_10k: 0.5,
+            ..Default::default()
+        };
+        variants.push(s);
+        let mut s = base.clone();
+        s.spec.tenancy = crate::tenancy::TenantMix {
+            vms: 1000,
+            fork_storms_per_10k: 1.0,
+            fork_pages: 16,
+            ..Default::default()
+        };
+        variants.push(s);
+
+        let mut digests = vec![key_digest(&base)];
+        for v in &variants {
+            let d = key_digest(v);
+            assert!(!digests.contains(&d), "collision for variant {v:?}");
+            digests.push(d);
         }
     }
 
     #[test]
-    fn chunked_replay_covers_the_stream_exactly_once() {
-        let s = spec(OsEventRates::unmap_heavy(6.0));
-        let trace = Arc::new(SharedTrace::generate(&s, 5, 3, false, 2500));
-        let full: Vec<_> = trace.replay().collect();
-        // Stitch 400-ref chunks back together via cursors.
-        let mut stitched = Vec::new();
-        let chunk = 400u64;
-        let mut start = 0u64;
-        while start < trace.refs() {
-            let end = (start + chunk).min(trace.refs());
-            let mut it = trace.replay_from(trace.cursor_at_ref(start));
-            let mut got = 0u64;
-            while got < end - start {
-                let ci = it.next().unwrap();
-                if matches!(ci.item, TraceItem::Ref(_)) {
-                    got += 1;
-                }
-                stitched.push(ci);
-            }
-            start = end;
-        }
-        // Trailing events after the last counted ref belong to no chunk —
-        // generation truncates after the final ref, so there are none.
-        assert_eq!(stitched, full);
-    }
-
-    #[test]
-    fn iterator_cursor_round_trips_mid_stream() {
-        let s = spec(OsEventRates::unmap_heavy(4.0));
-        let trace = Arc::new(SharedTrace::generate(&s, 9, 2, true, 800));
-        let mut it = trace.replay();
-        let mut head = Vec::new();
-        for _ in 0..157 {
-            head.push(it.next().unwrap());
-        }
-        let cur = it.cursor();
-        let tail_a: Vec<_> = it.clone().collect();
-        let tail_b: Vec<_> = trace.replay_from(cur).collect();
-        assert_eq!(tail_a, tail_b, "clone and replay_from agree");
-        let full: Vec<_> = trace.replay().collect();
-        head.extend(tail_b);
-        assert_eq!(head, full);
+    fn mixed_locality_digest_is_parameter_sensitive() {
+        let mk = |parts: Vec<(f64, LocalityModel)>| {
+            let mut k = key(1);
+            k.spec.locality = LocalityModel::Mixed(parts);
+            key_digest(&k)
+        };
+        let a = mk(vec![(0.7, LocalityModel::UniformRandom), (0.3, LocalityModel::Zipf { alpha: 0.9 })]);
+        let b = mk(vec![(0.3, LocalityModel::UniformRandom), (0.7, LocalityModel::Zipf { alpha: 0.9 })]);
+        let c = mk(vec![(0.7, LocalityModel::UniformRandom), (0.3, LocalityModel::Zipf { alpha: 0.8 })]);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(b, c);
     }
 
     #[test]

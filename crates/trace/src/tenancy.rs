@@ -19,7 +19,7 @@
 //!   reference and OS-event RNGs so enabling churn never perturbs either.
 //!
 //! Everything is deterministic in the stream seed, which is what lets
-//! consolidation runs keep the byte-identical serial/pooled/chunked/replayed
+//! consolidation runs keep the byte-identical serial/pooled/replayed
 //! contract every other workload family has.
 
 use std::collections::VecDeque;

@@ -1,41 +1,15 @@
 //! End-to-end fault tolerance: a sweep with a permanently panicking job
-//! and transient trace-store I/O faults still completes every sibling and
-//! reports a per-job outcome; a transiently failing job retries to a
+//! still completes every sibling and reports a per-job outcome; a transiently failing job retries to a
 //! byte-identical report; and seeded translation-fault injection obeys the
 //! detection contract (consistency on ⇒ zero escapes, off ⇒ zero
 //! detections) while staying deterministic under a pinned seed.
 
-use std::path::{Path, PathBuf};
-use std::time::Duration;
-
 use pom_tlb::{
-    run_jobs, run_jobs_with, share_traces_with_store, FaultConfig, JobOutcome, RunPolicy,
-    Scheme, SimConfig, SimJob, SystemConfig,
+    run_jobs, run_jobs_with, share_traces, FaultConfig, JobOutcome, RunPolicy, Scheme,
+    SimConfig, SimJob, SystemConfig,
 };
-use pomtlb_trace::{OsEventRates, TraceStore};
+use pomtlb_trace::OsEventRates;
 use pomtlb_workloads::by_name;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("pomtlb-fault-it-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Two workloads × all four schemes: the shape of a small sweep.
 fn batch() -> Vec<SimJob> {
@@ -59,35 +33,15 @@ fn fingerprint(r: &pom_tlb::JobResult) -> String {
     serde_json::to_string(&r.report).unwrap_or_else(|_| format!("{:?}", r.report))
 }
 
-/// The acceptance scenario: one job in the sweep panics on every attempt
-/// and the trace store throws transient I/O errors on the way in. The
-/// sweep must still run every sibling to completion, report the failure as
-/// a per-job outcome in submission order, and leave sibling reports
-/// byte-identical to an undisturbed serial run.
+/// The acceptance scenario: one job in a shared-trace sweep panics on
+/// every attempt. The sweep must still run every sibling to completion,
+/// report the failure as a per-job outcome in submission order, and leave
+/// sibling reports byte-identical to an undisturbed serial run.
 #[test]
-fn panicking_job_and_transient_store_faults_do_not_take_down_the_sweep() {
-    let dir = TempDir::new("sweep");
+fn panicking_job_does_not_take_down_the_sweep() {
     let clean = run_jobs(batch(), 1);
-
-    // Record pass: put both distinct streams on disk.
-    let store = TraceStore::open(dir.path()).expect("open store");
-    let mut warm = batch();
-    let cold = share_traces_with_store(&mut warm, Some(&store));
-    assert_eq!(cold.recorded, 2, "both distinct streams recorded");
-    drop((warm, store));
-
-    // Replay pass under fire: two injected transient I/O faults, retried
-    // with a zero-delay backoff, must not cost a single recording.
-    let store = TraceStore::open(dir.path())
-        .expect("reopen store")
-        .with_retry_policy(4, Duration::ZERO);
-    store.inject_transient_load_faults(2);
     let mut jobs = batch();
-    let replay = share_traces_with_store(&mut jobs, Some(&store));
-    assert_eq!((replay.store_hits, replay.store_misses), (2, 0));
-    let counters = store.counters();
-    assert_eq!(counters.transient_retries, 2, "both faults retried");
-    assert_eq!(counters.load_failures, 0, "no fault was terminal");
+    assert_eq!(share_traces(&mut jobs), 2, "both distinct streams recorded");
 
     // Break one job permanently and run the sweep on a pool.
     let victim = jobs.remove(3);

@@ -40,7 +40,6 @@ impl Drop for TempDir {
 
 fn service(root: &Path) -> Service {
     Service::new(ServeConfig {
-        trace_dir: Some(root.join("traces")),
         report_dir: Some(root.join("reports")),
         ..Default::default()
     })
@@ -51,7 +50,6 @@ fn service(root: &Path) -> Service {
 /// exercise the on-disk store on every repeat.
 fn service_disk_only(root: &Path) -> Service {
     Service::new(ServeConfig {
-        trace_dir: Some(root.join("traces")),
         report_dir: Some(root.join("reports")),
         hot_max_bytes: 0,
         ..Default::default()

@@ -45,7 +45,6 @@ impl Drop for TempDir {
 
 fn service(root: &Path) -> Service {
     Service::new(ServeConfig {
-        trace_dir: Some(root.join("traces")),
         report_dir: Some(root.join("reports")),
         ..Default::default()
     })

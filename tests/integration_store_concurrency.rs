@@ -1,7 +1,7 @@
-//! Multi-handle store safety (PR 8, satellite): two independent
-//! [`ReportStore`] / [`pomtlb_trace::TraceStore`] handles pointed at one
-//! directory — the daemon's per-connection world — racing saves, loads
-//! and GC passes must never lose an entry or surface a torn body. The
+//! Multi-handle store safety: two independent [`ReportStore`] handles
+//! pointed at one directory — the daemon's per-connection world — racing
+//! saves, loads and GC passes must never lose an entry or surface a torn
+//! body. The
 //! write protocol that makes this true: stage into a per-call tmp file,
 //! atomically rename into place, serialize manifest read-modify-write
 //! behind the in-process mutex plus the advisory lock file.
@@ -10,13 +10,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 
-use pom_tlb::{run_jobs, share_traces_with_store, Scheme, SimConfig, SimJob, SystemConfig};
 use pomtlb_serve::ReportStore;
-use pomtlb_trace::TraceStore;
-use pomtlb_workloads::by_name;
 
-/// The trace test counts against process-global state and every test
-/// here hammers the filesystem; serialize them.
+/// Every test here hammers the filesystem; serialize them.
 fn serialize() -> MutexGuard<'static, ()> {
     static SEQ: OnceLock<Mutex<()>> = OnceLock::new();
     SEQ.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
@@ -175,73 +171,4 @@ fn racing_writers_of_one_key_never_surface_a_torn_body() {
     let last = fresh.load(&key).expect("final load");
     assert!(last == body_a || last == body_b);
     assert!(fresh.verify().iter().all(|e| e.is_ok()), "the surviving file is intact");
-}
-
-/// Two workloads × all four schemes — two distinct input streams — same
-/// batch the trace-store integration tests use.
-fn batch() -> Vec<SimJob> {
-    let sim = SimConfig { refs_per_core: 3_000, warmup_per_core: 1_000, seed: 0xbeef };
-    let sys = SystemConfig { n_cores: 2, ..Default::default() };
-    let mut jobs = Vec::new();
-    for name in ["gups", "mcf"] {
-        let w = by_name(name).expect("workload exists");
-        for scheme in [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()] {
-            jobs.push(
-                SimJob::new(format!("{name}/{}", scheme.label()), &w.spec, scheme, sim)
-                    .with_system_config(sys.clone())
-                    .shared_memory(w.suite.shares_memory()),
-            );
-        }
-    }
-    jobs
-}
-
-fn fingerprints(results: &[pom_tlb::JobResult]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| serde_json::to_string(&r.report).unwrap_or_else(|_| format!("{:?}", r.report)))
-        .collect()
-}
-
-#[test]
-fn racing_trace_store_handles_record_once_each_and_replay_identically() {
-    let _guard = serialize();
-    let dir = TempDir::new("traces");
-    let live = fingerprints(&run_jobs(batch(), 1));
-
-    // Two cold handles race record-on-miss for the same two streams —
-    // both may generate, both may save the same digest concurrently; the
-    // rename protocol must leave exactly one intact recording per stream.
-    let barrier = Barrier::new(2);
-    let reports: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let root = dir.path().to_path_buf();
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let store = TraceStore::open(&root).expect("open handle");
-                    let mut jobs = batch();
-                    barrier.wait();
-                    share_traces_with_store(&mut jobs, Some(&store));
-                    fingerprints(&run_jobs(jobs, 1))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("racer")).collect()
-    });
-    for (i, r) in reports.iter().enumerate() {
-        assert_eq!(r, &live, "racer {i}'s reports diverged from the live reference");
-    }
-
-    // The surviving recordings are intact and a fresh handle replays both
-    // streams from disk without regenerating anything.
-    let store = TraceStore::open(dir.path()).expect("reopen");
-    let verify = store.verify();
-    assert_eq!(verify.len(), 2, "one recording per distinct stream survived the race");
-    assert!(verify.iter().all(|e| e.is_ok()), "both recordings pass verify: {verify:?}");
-    let mut jobs = batch();
-    let outcome = share_traces_with_store(&mut jobs, Some(&store));
-    assert_eq!((outcome.store_hits, outcome.store_misses), (2, 0));
-    assert_eq!(outcome.recorded, 0, "a warm store regenerates nothing");
-    assert_eq!(fingerprints(&run_jobs(jobs, 1)), live, "disk replay stays byte-identical");
 }

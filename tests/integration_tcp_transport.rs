@@ -51,7 +51,6 @@ impl Drop for TempDir {
 
 fn service(root: &Path, cfg: ServeConfig) -> Service {
     Service::new(ServeConfig {
-        trace_dir: Some(root.join("traces")),
         report_dir: Some(root.join("reports")),
         ..cfg
     })
