@@ -233,18 +233,6 @@ pub struct JobResult {
     pub wall: Duration,
 }
 
-impl JobResult {
-    /// Simulated post-warmup references per wall-clock second.
-    pub fn refs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.report.refs as f64 / secs
-        }
-    }
-}
-
 /// How [`run_jobs_with`] treats a job that panics or overruns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {

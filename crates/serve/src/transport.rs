@@ -89,7 +89,8 @@ enum LineRead {
     FinalLine,
     /// Clean EOF between lines.
     Eof,
-    /// A shutdown served elsewhere ended this conversation.
+    /// A shutdown served elsewhere ended this conversation, with nothing
+    /// left unread.
     Shutdown,
     /// No request completed within the idle budget.
     Idle,
@@ -100,7 +101,10 @@ enum LineRead {
 /// Accumulates one newline-terminated line into `line`, bounded by
 /// `max_line_bytes`, waking every [`POLL_TICK`] to observe shutdown and
 /// the idle deadline. Partial input survives timeouts intact — only the
-/// bound, EOF, or a deadline ends the accumulation early.
+/// bound, EOF, or a deadline ends the accumulation early. Shutdown is
+/// observed only when the socket has nothing to read: a request the
+/// client already sent is served (the drain budget bounds the wait), not
+/// dropped unread — closing over unread bytes resets the client.
 fn read_line_bounded(
     shared: &ServiceShared,
     reader: &mut impl BufRead,
@@ -110,9 +114,6 @@ fn read_line_bounded(
     let max_line = shared.max_line_bytes();
     let idle = shared.idle_timeout();
     loop {
-        if shared.shutdown_requested() {
-            return Ok(LineRead::Shutdown);
-        }
         if let Some(budget) = idle {
             if last_done.elapsed() > budget {
                 return Ok(LineRead::Idle);
@@ -141,17 +142,26 @@ fn read_line_bounded(
                     io::ErrorKind::WouldBlock
                         | io::ErrorKind::TimedOut
                         | io::ErrorKind::Interrupted
-                ) => {}
+                ) =>
+            {
+                if shared.shutdown_requested() {
+                    return Ok(LineRead::Shutdown);
+                }
+            }
             Err(e) => return Err(e),
         }
     }
 }
 
+/// Answers one request line. The reply and its newline go out in one
+/// write: two small writes on an unbuffered socket are two segments, and
+/// where `TCP_NODELAY` could not be set they hand Nagle plus delayed ACK
+/// a ~40 ms stall per round trip.
 fn respond(service: &mut Service, out: &mut impl Write, raw: &[u8]) -> io::Result<()> {
     let text = String::from_utf8_lossy(raw);
-    if let Some(response) = service.handle_line(&text) {
+    if let Some(mut response) = service.handle_line(&text) {
+        response.push('\n');
         out.write_all(response.as_bytes())?;
-        out.write_all(b"\n")?;
         out.flush()?;
     }
     Ok(())
@@ -394,6 +404,67 @@ mod tests {
         assert!(err.to_string().contains("live daemon"));
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<String>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(String::from_utf8_lossy(buf).into_owned());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn respond_writes_the_reply_and_its_newline_in_one_call() {
+        let mut service =
+            Service::new(crate::ServeConfig::default()).expect("in-memory service opens");
+        let request = b"{\"id\":\"x\",\"kind\":\"no-such-kind\"}";
+        let body = service
+            .handle_line(&String::from_utf8_lossy(request))
+            .expect("a typed error line");
+        let mut out = CountingWriter::default();
+        respond(&mut service, &mut out, request).expect("respond");
+        assert_eq!(out.writes, vec![format!("{body}\n")]);
+    }
+
+    /// A reader with nothing to read: every poll times out.
+    struct Silent;
+
+    impl Read for Silent {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    #[test]
+    fn a_request_already_sent_is_read_after_shutdown() {
+        let mut service =
+            Service::new(crate::ServeConfig::default()).expect("in-memory service opens");
+        service.handle_line("{\"id\":\"q\",\"kind\":\"shutdown\"}");
+        assert!(service.shutdown_requested());
+        let shared = Arc::clone(service.shared());
+        let mut line = Vec::new();
+
+        // Bytes the client sent before shutdown landed are served.
+        let mut sent: &[u8] = b"{\"id\":\"p\",\"kind\":\"ping\"}\n";
+        let read = read_line_bounded(&shared, &mut sent, &mut line, Instant::now());
+        assert!(matches!(read, Ok(LineRead::Line)));
+        assert_eq!(line, b"{\"id\":\"p\",\"kind\":\"ping\"}");
+
+        // With nothing left to read, shutdown ends the conversation.
+        line.clear();
+        let mut silent = io::BufReader::new(Silent);
+        let read = read_line_bounded(&shared, &mut silent, &mut line, Instant::now());
+        assert!(matches!(read, Ok(LineRead::Shutdown)));
     }
 
     #[test]

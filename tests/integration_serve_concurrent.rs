@@ -43,12 +43,30 @@ impl Drop for TempDir {
     }
 }
 
+/// A report-store-backed service with one compute permit. A test that
+/// takes that permit itself parks the leader at the gate, so every
+/// identical request arriving meanwhile coalesces onto the leader's
+/// flight however fast compute is.
 fn service(root: &Path) -> Service {
     Service::new(ServeConfig {
         report_dir: Some(root.join("reports")),
+        max_inflight: 1,
         ..Default::default()
     })
     .expect("service opens")
+}
+
+/// Polls for up to 30 s until `followers` callers have coalesced onto a
+/// flight; false if they never did.
+fn followers_joined(svc: &Service, followers: u64) -> bool {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while svc.shared().flights().coalesced() < followers {
+        if std::time::Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    true
 }
 
 fn compare_request(id: &str) -> String {
@@ -76,7 +94,8 @@ fn overlapping_identical_requests_coalesce_to_one_computation() {
     let interleavers_before = interleaver_constructions();
     let simulations_before = simulations_run();
     let barrier = Barrier::new(CLIENTS);
-    let responses: Vec<String> = std::thread::scope(|scope| {
+    let (responses, joined): (Vec<String>, bool) = std::thread::scope(|scope| {
+        let gate = svc.shared().admission().admit().expect("the test takes the only permit");
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
                 let mut conn = svc.connection();
@@ -88,8 +107,14 @@ fn overlapping_identical_requests_coalesce_to_one_computation() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        // The leader is let go only once every follower is parked on its
+        // flight; a failed wait still releases it, so the test cannot hang.
+        let joined = followers_joined(&svc, (CLIENTS - 1) as u64);
+        drop(gate);
+        let responses = handles.into_iter().map(|h| h.join().expect("client thread")).collect();
+        (responses, joined)
     });
+    assert!(joined, "every follower joined the leader's flight");
 
     // Work accounting: a `compare` is four scheme jobs over one shared
     // input stream. K overlapping identical requests must cost exactly
@@ -122,10 +147,10 @@ fn overlapping_identical_requests_coalesce_to_one_computation() {
         (CLIENTS - 1) as u64,
         "every other client was served without work: {counters:?}"
     );
-    assert!(
-        counters.coalesced >= 1,
-        "with a start barrier at least one client coalesces onto the leader's \
-         flight: {counters:?}"
+    assert_eq!(
+        counters.coalesced,
+        (CLIENTS - 1) as u64,
+        "every other client coalesced onto the leader's flight: {counters:?}"
     );
     assert_eq!(counters.busy, 0);
     assert_eq!(counters.errors, 0);
@@ -210,7 +235,8 @@ fn unix_socket_serves_concurrent_clients_and_drains_on_shutdown() {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
 
-        let bodies: Vec<String> = {
+        let gate = svc.shared().admission().admit().expect("the test takes the only permit");
+        let (bodies, joined): (Vec<String>, bool) = {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|i| {
                     let sock = sock.clone();
@@ -233,7 +259,12 @@ fn unix_socket_serves_concurrent_clients_and_drains_on_shutdown() {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+            // The leader is let go only once every follower is parked on
+            // its flight; a failed wait still releases it (and is asserted
+            // after the daemon exits), so the test cannot hang.
+            let joined = followers_joined(&svc, (CLIENTS - 1) as u64);
+            drop(gate);
+            (handles.into_iter().map(|h| h.join().expect("client thread")).collect(), joined)
         };
         for (i, body) in bodies.iter().enumerate() {
             assert_eq!(body, &bodies[0], "client {i} body is byte-identical across the socket");
@@ -251,6 +282,7 @@ fn unix_socket_serves_concurrent_clients_and_drains_on_shutdown() {
         assert!(line.contains("\"ok\":true"));
 
         daemon.join().expect("daemon thread");
+        assert!(joined, "every follower joined the leader's flight over the socket");
     });
 
     assert_eq!(
@@ -262,6 +294,11 @@ fn unix_socket_serves_concurrent_clients_and_drains_on_shutdown() {
     let counters = svc.counters();
     assert_eq!(counters.computed, 1, "{counters:?}");
     assert_eq!(counters.served_from_cache(), (CLIENTS - 1) as u64, "{counters:?}");
+    assert_eq!(
+        counters.coalesced,
+        (CLIENTS - 1) as u64,
+        "every other socket client coalesced onto the leader's flight: {counters:?}"
+    );
 
     // The daemon persisted its tier counters for `report-store stats`.
     let snapshot =

@@ -358,12 +358,16 @@ fn over_limit_connections_get_a_typed_busy_line() {
 fn graceful_drain_completes_in_flight_requests_and_persists_once() {
     let _guard = COUNTER_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let dir = TempDir::new("drain");
-    let svc = service(&dir.0, ServeConfig::default());
+    // One compute permit, and the test holds it: the leader parks at the
+    // gate and cannot publish until the test lets it go, so every
+    // follower coalesces onto its flight however fast compute is.
+    let svc = service(&dir.0, ServeConfig { max_inflight: 1, ..ServeConfig::default() });
     const CLIENTS: usize = 4;
     let barrier = Barrier::new(CLIENTS);
 
     std::thread::scope(|scope| {
         let (addr, daemon) = spawn_daemon(scope, &svc);
+        let gate = svc.shared().admission().admit().expect("the test takes the only permit");
 
         let clients: Vec<_> = (0..CLIENTS)
             .map(|i| {
@@ -376,14 +380,17 @@ fn graceful_drain_completes_in_flight_requests_and_persists_once() {
             })
             .collect();
 
-        // Wait until compute is genuinely in flight, then shut down from
-        // a separate connection: the drain must let every client finish.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while svc.shared().admission().in_flight() == 0 {
-            assert!(Instant::now() < deadline, "no request reached the compute path");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Wait until the leader has reached the compute path, then shut
+        // down from a separate connection: the drain must let every client
+        // finish, including one whose request is still unread in its
+        // socket. Only then is the leader let go, once every follower has
+        // joined its flight. A failed wait still shuts down and releases
+        // the gate, so the test fails instead of hanging.
+        let leader_parked = wait_until(|| svc.shared().admission().queued() > 0);
         shutdown_via(addr);
+        let followers_joined =
+            wait_until(|| svc.shared().flights().coalesced() >= (CLIENTS - 1) as u64);
+        drop(gate);
         daemon.join().expect("daemon drains and exits");
 
         let bodies: Vec<String> = clients
@@ -396,6 +403,8 @@ fn graceful_drain_completes_in_flight_requests_and_persists_once() {
                 "in-flight client {i} completed byte-identically through the drain"
             );
         }
+        assert!(leader_parked, "no request reached the compute path");
+        assert!(followers_joined, "every follower joined the leader's flight");
     });
 
     // Post-drain connects are refused at the OS level: the listener is
@@ -422,6 +431,23 @@ fn graceful_drain_completes_in_flight_requests_and_persists_once() {
         (CLIENTS - 1) as u64,
         "{snapshot:?}"
     );
+    assert_eq!(
+        snapshot.coalesced,
+        (CLIENTS - 1) as u64,
+        "every follower was served from the leader's flight: {snapshot:?}"
+    );
+}
+
+/// Polls `done` for up to 30 s; false if it never held.
+fn wait_until(done: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
 }
 
 /// Like [`raw_roundtrip`] for one request, but waits on `barrier` after

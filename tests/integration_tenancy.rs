@@ -11,6 +11,9 @@ use pom_tlb::{
 use pomtlb_tlb::{VirtTables, WalkMode};
 use pomtlb_trace::{LocalityModel, OsEvent, OsEventKind, TenantMix, WorkloadSpec};
 use pomtlb_types::{AccessKind, AddressSpace, CoreId, Cycles, Gva, PageSize, ProcessId, VmId};
+use pomtlb_workloads::consolidation::{
+    consolidation_spec, DEFAULT_CHURN_DESTROYS, DEFAULT_CHURN_FORKS,
+};
 use proptest::prelude::*;
 
 /// A consolidation workload small enough for test budgets: 40 tenants,
@@ -83,33 +86,50 @@ fn non_tenancy_reports_carry_a_default_section() {
 
 #[test]
 fn tenancy_is_deterministic_across_serial_pooled_and_shared_replay() {
-    let jobs = || -> Vec<SimJob> {
-        [Scheme::Baseline, Scheme::pom_tlb(), Scheme::SharedL2, Scheme::Tsb]
-            .into_iter()
-            .map(|s| {
-                SimJob::new(format!("{s:?}"), &tenant_spec(), s, quick())
-                    .with_system_config(two_cores())
-            })
-            .collect()
-    };
-    let serial = run_jobs(jobs(), 1);
-    let pooled = run_jobs(jobs(), 3);
-    let mut replay_jobs = jobs();
-    share_traces(&mut replay_jobs);
-    let replayed = run_jobs_with(replay_jobs, 3, RunPolicy::strict(), &|_, _| {});
-    for ((a, b), c) in serial.iter().zip(&pooled).zip(&replayed) {
-        let c = c.result().expect("every replayed job completes");
-        assert_eq!(
-            fingerprint(&a.report),
-            fingerprint(&b.report),
-            "{}: serial vs pooled diverged",
-            a.label
-        );
-        assert_eq!(
-            fingerprint(&a.report),
-            fingerprint(&c.report),
-            "{}: serial vs pooled shared-trace replay diverged",
-            a.label
+    // The small high-churn mix above, and the 100-VM rung of the
+    // consolidation ladder in shared-address-space mode, as
+    // `consolidation-sweep` runs it. At this ref budget the default churn
+    // rates may fire no event, so that leg covers 100-VM determinism and
+    // the QoS section, not churn.
+    let consolidation =
+        consolidation_spec(100, Some((DEFAULT_CHURN_DESTROYS, DEFAULT_CHURN_FORKS)));
+    for (spec, shared) in [(tenant_spec(), false), (consolidation, true)] {
+        let jobs = || -> Vec<SimJob> {
+            [Scheme::Baseline, Scheme::pom_tlb(), Scheme::SharedL2, Scheme::Tsb]
+                .into_iter()
+                .map(|s| {
+                    SimJob::new(format!("{}/{s:?}", spec.name), &spec, s, quick())
+                        .with_system_config(two_cores())
+                        .shared_memory(shared)
+                })
+                .collect()
+        };
+        let serial = run_jobs(jobs(), 1);
+        let pooled = run_jobs(jobs(), 3);
+        let mut replay_jobs = jobs();
+        share_traces(&mut replay_jobs);
+        let replayed = run_jobs_with(replay_jobs, 3, RunPolicy::strict(), &|_, _| {});
+        for ((a, b), c) in serial.iter().zip(&pooled).zip(&replayed) {
+            let c = c.result().expect("every replayed job completes");
+            assert_eq!(
+                fingerprint(&a.report),
+                fingerprint(&b.report),
+                "{}: serial vs pooled diverged",
+                a.label
+            );
+            assert_eq!(
+                fingerprint(&a.report),
+                fingerprint(&c.report),
+                "{}: serial vs pooled shared-trace replay diverged",
+                a.label
+            );
+        }
+        let pom = &serial[1];
+        assert!(
+            pom.report.tenancy.measured_tenants > 0 && pom.report.tenancy.dispersion > 0.0,
+            "{}: the QoS section is populated: {:?}",
+            pom.label,
+            pom.report.tenancy
         );
     }
 }
