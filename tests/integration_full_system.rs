@@ -3,7 +3,10 @@
 //! performance model).
 
 use pom_tlb::perf_model::BaselineMeasurement;
-use pom_tlb::{Scheme, SimConfig, Simulation, SystemConfig};
+use pom_tlb::{PomTlbConfig, Scheme, SimConfig, Simulation, SystemConfig};
+use pomtlb_tlb::{TsbConfig, WalkMode};
+use pomtlb_trace::digest::{digest256, digest_hex};
+use pomtlb_trace::{LocalityModel, OsEventRates, WorkloadSpec};
 use pomtlb_workloads::{all, by_name};
 
 fn quick() -> SimConfig {
@@ -157,4 +160,54 @@ fn more_cores_more_traffic_same_structure() {
     assert!(four.refs > two.refs);
     assert!(four.walks_eliminated() > 0.95);
     assert_eq!(four.n_cores, 4);
+}
+
+/// Digest of the serialized reports of a small prepopulated batch, pinned
+/// so that any change to what prepopulation leaves in the in-DRAM
+/// structures — or to the order it leaves it in — changes a byte.
+const PINNED_PREPOPULATED_DIGEST: &str =
+    "356f7a51488a518c2d80b7c3496b074c2b24915b081c883577b4fafd75e352c9";
+
+#[test]
+fn prepopulated_reports_are_pinned() {
+    // POM-TLB and TSB far smaller than the footprint, so prepopulation
+    // evicts: which entries survive, their LRU ages and the TSB conflict
+    // count all depend on the order translations were installed in.
+    let tiny = |walk_mode| SystemConfig {
+        n_cores: 2,
+        pom: PomTlbConfig { capacity_bytes: 32 << 10, ..Default::default() },
+        tsb: TsbConfig { capacity_bytes: 16 << 10, ..Default::default() },
+        walk_mode,
+        ..Default::default()
+    };
+    let spec = |name: &str, rates: OsEventRates| {
+        WorkloadSpec::builder(name)
+            .footprint_bytes(48 << 20)
+            .large_page_frac(0.25)
+            .locality(LocalityModel::UniformRandom)
+            .os_events(rates)
+            .build()
+    };
+    // (spec, shared address space, walk mode): one shared space, two
+    // SPECrate spaces walked natively, and OS events whose shootdowns read
+    // the prepopulated POM-TLB and TSB.
+    let events = OsEventRates { unmaps: 5.0, remaps: 2.0, promotes: 1.0, ..Default::default() };
+    let runs = [
+        (spec("pin-shared", OsEventRates::default()), true, WalkMode::Virtualized),
+        (spec("pin-rate", OsEventRates::default()), false, WalkMode::Native),
+        (spec("pin-events", events), false, WalkMode::Virtualized),
+    ];
+    let cfg = SimConfig { refs_per_core: 3_000, warmup_per_core: 1_000, seed: 14 };
+    let mut bytes = Vec::new();
+    for (spec, shared, walk_mode) in &runs {
+        for scheme in [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()] {
+            let r = Simulation::new(spec, scheme, cfg)
+                .shared_memory(*shared)
+                .with_system_config(tiny(*walk_mode))
+                .run();
+            bytes.extend(serde_json::to_string(&r).expect("report serializes").into_bytes());
+            bytes.push(b'\n');
+        }
+    }
+    assert_eq!(digest_hex(&digest256(&bytes)), PINNED_PREPOPULATED_DIGEST);
 }
