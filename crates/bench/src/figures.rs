@@ -529,11 +529,13 @@ pub fn vm_switching() -> Figure {
             // Steady state: every VM's translations already live in the
             // in-DRAM structures (as after long execution); what is being
             // measured is what *switching* does to the SRAM levels.
+            let mut pages = Vec::with_capacity(layout.total_pages() as usize);
             for (space, tables, _) in vms.iter_mut() {
+                pages.clear();
                 for (page, size) in layout.pages() {
-                    let hpa = tables.ensure_mapped(page, size);
-                    system.prepopulate_translation(*space, page, size, hpa);
+                    pages.push((page, size, tables.ensure_mapped(page, size)));
                 }
+                system.prepopulate(*space, &pages);
             }
             // Round-robin quantum of 4000 references per VM, 6 quanta per VM.
             let mut penalty_total = 0u64;

@@ -140,8 +140,12 @@ impl Simulation {
         let layout = AddressLayout::of_spec(&self.spec);
 
         if self.prepopulate {
-            // One pass per *distinct* base space (shared memory collapses
-            // all cores onto one), exactly as the old per-table loop did.
+            // Once per *distinct* base space (shared memory collapses all
+            // cores onto one), one pass per structure: map the footprint
+            // (frames are allocated in page order), tell the watchdog, then
+            // fill the POM-TLB and the TSB. None of them reads another, so
+            // the order of the passes changes no structure's final state.
+            let mut pages = Vec::with_capacity(layout.total_pages() as usize);
             let mut seen: Vec<AddressSpace> = Vec::new();
             for &space in &spaces {
                 if seen.contains(&space) {
@@ -149,11 +153,15 @@ impl Simulation {
                 }
                 seen.push(space);
                 let ti = tables.slot(space);
+                let table = &mut tables.list[ti];
+                pages.clear();
                 for (page, size) in layout.pages() {
-                    let hpa = tables.list[ti].ensure_mapped(page, size);
-                    system.note_mapped(space, page, size, hpa);
-                    system.prepopulate_translation(space, page, size, hpa);
+                    pages.push((page, size, table.ensure_mapped(page, size)));
                 }
+                for &(page, size, hpa) in &pages {
+                    system.note_mapped(space, page, size, hpa);
+                }
+                system.prepopulate(space, &pages);
             }
         }
 

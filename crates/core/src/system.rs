@@ -498,9 +498,28 @@ impl System {
         (page_base, size, penalty)
     }
 
-    /// Installs one translation into the in-DRAM translation structures
+    /// Installs translations into the in-DRAM translation structures
     /// (POM-TLB and TSB) without charging time — the steady state a long
     /// trace reaches. SRAM structures are untouched; they warm naturally.
+    ///
+    /// One pass per structure: every POM-TLB insert in `pages` order, then
+    /// every TSB fill in the same order. Neither structure reads the other,
+    /// so the final state equals installing the pages one at a time; the
+    /// passes only keep one structure's working set in the host caches at
+    /// a time (DESIGN.md §3).
+    pub fn prepopulate(&mut self, space: AddressSpace, pages: &[(Gva, PageSize, Hpa)]) {
+        for &(va, size, page_base) in pages {
+            self.pom.insert(space, va, size, page_base);
+        }
+        // The TSB stores per-dimension entries; give it the same steady
+        // state (the guest-physical base is only used as a key, so derive
+        // it from the host base deterministically via the vpn).
+        for &(va, size, page_base) in pages {
+            self.tsb.fill(space, va, size, va.page_base(size).raw(), page_base);
+        }
+    }
+
+    /// [`System::prepopulate`] for one translation.
     pub fn prepopulate_translation(
         &mut self,
         space: AddressSpace,
@@ -508,11 +527,7 @@ impl System {
         size: PageSize,
         page_base: Hpa,
     ) {
-        self.pom.insert(space, va, size, page_base);
-        // The TSB stores per-dimension entries; give it the same steady
-        // state (the guest-physical base is only used as a key, so derive
-        // it from the host base deterministically via the vpn).
-        self.tsb.fill(space, va, size, va.page_base(size).raw(), page_base);
+        self.prepopulate(space, &[(va, size, page_base)]);
     }
 
     /// Applies one OS event (§2.2): updates the live page tables, runs the
